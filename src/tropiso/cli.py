@@ -155,11 +155,12 @@ def _cmd_kleene(args) -> int:
 
 def _cmd_polytrope(args) -> int:
     A = load_matrix(args.matrix, _semiring(args.semiring) or Semiring.MIN)
-    P = polytrope.build_polytrope(A, jobs=args.jobs)
-    report = polytrope.polytrope_report(P)
-    _emit(_jdump(report), args.report)
-    if args.svg:
-        _emit(polytrope.render_svg(P), args.svg)
+    P = polytrope.build_polytrope(A)
+    # render first, so that a matrix the SVG cannot show fails before any output
+    svg = polytrope.render_svg(P) if args.svg else None
+    _emit(_jdump(polytrope.polytrope_report(P)), args.report)
+    if svg is not None:
+        _emit(svg, args.svg)
     return 0
 
 
@@ -276,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None, help="write here instead of stdout")
         p.add_argument("--cap", type=int, default=None,
                        help="enumeration cap (or env TROPISO_CAP)")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
         return p

@@ -7,8 +7,9 @@ polytope (a polytrope) whenever the Kleene star of B is finite.  This module
 computes the star, the irredundant facets, the exact vertex set, facet/vertex
 incidences, membership tests, and an SVG rendering of the planar case.
 
-All geometry is exact: vertices are solved with rational Gaussian
-elimination and every incidence test is an exact comparison.
+All geometry is exact: vertices are found by walking the vertex graph,
+whose edges run along 0/1 vectors, on scaled integers, and every incidence
+test is an exact comparison.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from multiprocessing import Pool
 from typing import Optional, Sequence
 
 from .core import Semiring, TropMatrix, as_vector, require_square
@@ -79,6 +78,33 @@ def _find_negative_cycle(B: TropMatrix) -> tuple[list[int], Fraction]:
     return cycle, weight
 
 
+def _close(dist: list[list[Optional[int]]]) -> bool:
+    """Floyd-Warshall closure in place on a scaled-integer grid.
+
+    ``None`` marks a missing arc.  Returns False, leaving the grid partly
+    closed, as soon as a diagonal entry turns negative (a negative cycle).
+    """
+    d = len(dist)
+    for k in range(d):
+        dk = dist[k]
+        for i in range(d):
+            dik = dist[i][k]
+            if dik is None:
+                continue
+            di = dist[i]
+            for j in range(d):
+                dkj = dk[j]
+                if dkj is None:
+                    continue
+                cand = dik + dkj
+                if di[j] is None or cand < di[j]:
+                    di[j] = cand
+        for i in range(d):
+            if dist[i][i] < 0:
+                return False
+    return True
+
+
 def kleene_star(B: TropMatrix) -> TropMatrix:
     """All-pairs shortest-path closure with zeroed diagonal (Floyd-Warshall).
 
@@ -101,23 +127,8 @@ def kleene_star(B: TropMatrix) -> TropMatrix:
     for i in range(d):
         if dist[i][i] < 0:
             raise NegativeCycleError([i], Fraction(dist[i][i], scale))
-    for k in range(d):
-        dk = dist[k]
-        for i in range(d):
-            dik = dist[i][k]
-            if dik is None:
-                continue
-            di = dist[i]
-            for j in range(d):
-                dkj = dk[j]
-                if dkj is None:
-                    continue
-                cand = dik + dkj
-                if di[j] is None or cand < di[j]:
-                    di[j] = cand
-        for i in range(d):
-            if dist[i][i] < 0:
-                raise NegativeCycleError(*_find_negative_cycle(B))
+    if not _close(dist):
+        raise NegativeCycleError(*_find_negative_cycle(B))
     ent = tuple(
         tuple(None if w is None else Fraction(w, scale) for w in row)
         for row in dist
@@ -172,61 +183,38 @@ def irredundant_facets(star: TropMatrix) -> list[Facet]:
     return out
 
 
-def _chart_row(i: int, j: int, d: int) -> tuple[Fraction, ...]:
-    """Coefficients of x_i - x_j in the chart y_k = x_{k+1} - x_1."""
-    row = [Fraction(0)] * (d - 1)
-    if i > 0:
-        row[i - 1] += 1
-    if j > 0:
-        row[j - 1] -= 1
-    return tuple(row)
+def _connected(mask: int, adj: Sequence[int]) -> bool:
+    """Is the node set ``mask`` connected in the undirected graph ``adj``?
 
-
-def _solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    n = len(rhs)
-    M = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [x / pv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return tuple(M[i][n] for i in range(n))
-
-
-def _vertex_chunk(args):
-    coeffs, bounds, combos = args
-    found = set()
-    for idx in combos:
-        rows = [coeffs[k] for k in idx]
-        rhs = [bounds[k] for k in idx]
-        pt = _solve_square(rows, rhs)
-        if pt is None:
-            continue
-        if all(
-            sum(a * x for a, x in zip(row, pt)) <= b
-            for row, b in zip(coeffs, bounds)
-        ):
-            found.add(pt)
-    return found
+    Node sets and adjacency rows are bitmasks over node indices.
+    """
+    reach = mask & -mask
+    while True:
+        grown = reach
+        for i, row in enumerate(adj):
+            if reach >> i & 1:
+                grown |= row & mask
+        if grown == reach:
+            return reach == mask
+        reach = grown
 
 
 def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
                        jobs: int = 1, max_dim: int = 6) -> list[tuple[Fraction, ...]]:
     """Exact vertex enumeration of the chart polytope from its inequalities.
 
-    Brute force over (d-1)-subsets of inequalities: each square system is
-    solved with rational elimination, solutions violating any inequality are
-    discarded, and the survivors are deduplicated exactly and sorted.  The
-    polyhedron must be bounded, which for a Kleene-star system means every
-    ordered pair (i, j) contributes a finite inequality.  With ``jobs > 1``
-    the subset space is split across worker processes; the merge is a set
-    union followed by sorting, so the output does not depend on job count.
+    Polytropes are alcoved polytopes, so every edge runs along a 0/1 vector
+    1_S modulo the all-ones line.  The bounds are scaled to integers, the
+    system is closed by Floyd-Warshall (an infeasible system has no
+    vertices), and the vertex graph is walked from the star columns, which
+    are vertices.  At a vertex x the tight arcs (x_i - x_j = s_ij) span a
+    connected graph; an edge leaves x along 1_S exactly when no tight arc
+    leaves S and the tight graph stays connected inside S and inside its
+    complement, and it ends at x + t 1_S, where t is the least slack over
+    the arcs leaving S.  The polyhedron
+    must be bounded, which for a Kleene-star system means every ordered pair
+    (i, j) contributes a finite inequality.  Vertices are returned sorted.
+    ``jobs`` is accepted and ignored.
     """
     if d > max_dim:
         raise DomainError(
@@ -239,17 +227,43 @@ def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
                 raise UnboundedPolytopeError(
                     f"difference x_{i} - x_{j} is unbounded above"
                 )
-    coeffs = [_chart_row(i, j, d) for i, j, _ in hrep]
-    bounds = [b for _, _, b in hrep]
-    combos = list(combinations(range(len(hrep)), d - 1))
-    if jobs > 1 and len(combos) > 64:
-        chunks = [combos[k::jobs] for k in range(jobs)]
-        with Pool(jobs) as pool:
-            parts = pool.map(_vertex_chunk, [(coeffs, bounds, ch) for ch in chunks])
-        found = set().union(*parts)
-    else:
-        found = _vertex_chunk((coeffs, bounds, combos))
-    return sorted(found)
+    scale = math.lcm(*(b.denominator for _, _, b in hrep))
+    s: list[list[Optional[int]]] = [
+        [0 if i == j else None for j in range(d)] for i in range(d)
+    ]
+    for i, j, b in hrep:
+        w = b.numerator * (scale // b.denominator)
+        if s[i][j] is None or w < s[i][j]:
+            s[i][j] = w
+    if not _close(s):
+        return []
+    full = (1 << d) - 1
+    seen = {tuple(s[i][k] - s[0][k] for i in range(d)) for k in range(d)}
+    queue = list(seen)
+    while queue:
+        x = queue.pop()
+        out = [
+            sum(1 << j for j in range(d) if j != i and x[i] - x[j] == s[i][j])
+            for i in range(d)
+        ]
+        adj = [
+            out[i] | sum(1 << j for j in range(d) if out[j] >> i & 1)
+            for i in range(d)
+        ]
+        for S in range(1, full):
+            inside = [i for i in range(d) if S >> i & 1]
+            if any(out[i] & ~S for i in inside):
+                continue
+            if not (_connected(S, adj) and _connected(full ^ S, adj)):
+                continue
+            outside = [j for j in range(d) if not S >> j & 1]
+            t = min(s[i][j] - x[i] + x[j] for i in inside for j in outside)
+            shift = t if S & 1 else 0
+            y = tuple(v + (t if S >> i & 1 else 0) - shift for i, v in enumerate(x))
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return [tuple(Fraction(v, scale) for v in x[1:]) for x in sorted(seen)]
 
 
 @dataclass(frozen=True)

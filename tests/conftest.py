@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the library's solver paths:
 assignment values come from full permutation enumeration, qvol from full
-column-subset enumeration.  Rational entries are scaled to integers first,
+column-subset enumeration, polytrope vertices from rational elimination over
+every square subsystem of the inequalities.  Rational entries are scaled to integers first,
 which keeps the enumeration exact and fast.
 """
 
@@ -109,6 +110,50 @@ def brute_qvol_plus(A: TropMatrix):
         if v is not None and (best is None or v > best):
             best = v
     return best
+
+
+def _solve_square(rows, rhs):
+    """Unique solution of a square rational system, or None if singular."""
+    n = len(rhs)
+    M = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        pv = M[col][col]
+        M[col] = [x / pv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return tuple(M[i][n] for i in range(n))
+
+
+def brute_vertices(hrep, d):
+    """Sorted chart vertices of ``x_i - x_j <= b`` for every (i, j, b) in hrep.
+
+    Every (d-1)-subset of the inequalities is solved as an equality system in
+    the chart ``y_k = x_{k+1} - x_0``; feasible unique solutions are vertices.
+    """
+    coeffs = []
+    for i, j, _ in hrep:
+        row = [Fraction(0)] * (d - 1)
+        if i > 0:
+            row[i - 1] += 1
+        if j > 0:
+            row[j - 1] -= 1
+        coeffs.append(row)
+    bounds = [Fraction(b) for _, _, b in hrep]
+    found = set()
+    for idx in combinations(range(len(hrep)), d - 1):
+        pt = _solve_square([coeffs[k] for k in idx], [bounds[k] for k in idx])
+        if pt is not None and all(
+            sum(a * x for a, x in zip(row, pt)) <= b
+            for row, b in zip(coeffs, bounds)
+        ):
+            found.add(pt)
+    return sorted(found)
 
 
 def random_finite(rng: random.Random, rows: int, cols: int, semiring: Semiring,

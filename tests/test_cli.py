@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import family3, unit_matrix
+from conftest import D4_MATRIX, family3, unit_matrix
 from tropiso import Semiring, save_matrix
 from tropiso.cli import main
 
@@ -67,6 +67,17 @@ def test_polytrope_report_and_svg(b1, tmp_path, capsys):
     assert len(obj["vertices"]) == 6
     text = svg.read_text()
     assert text.count('fill="red"') == 3 and text.count('fill="white"') == 3
+
+
+def test_polytrope_svg_rejects_non_planar_before_output(tmp_path, capsys):
+    d4 = tmp_path / "d4.json"
+    save_matrix(d4, D4_MATRIX)
+    svg = tmp_path / "out.svg"
+    code, out, err = run_cli(["polytrope", str(d4), "--svg", str(svg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ERROR:domain:")
+    assert not svg.exists()
 
 
 def test_qvol_paper_values(tmp_path, capsys):

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import D4_MATRIX, family3, random_finite
+from conftest import D4_MATRIX, brute_vertices, family3, random_finite
 from tropiso import (
     DomainError,
     NegativeCycleError,
@@ -152,6 +153,65 @@ class TestVertices:
         P1 = build_polytrope(D4_MATRIX, jobs=1)
         P2 = build_polytrope(D4_MATRIX, jobs=2)
         assert P1.vertices == P2.vertices
+
+
+def _hrep(d, bound):
+    return [(i, j, bound(i, j)) for i in range(d) for j in range(d) if i != j]
+
+
+def _random_hrep(kind, d, seed):
+    """Raw (generally not closed) inequality systems of three kinds."""
+    rng = random.Random(seed)
+    if kind == "random":
+        den = rng.randint(1, 6)
+        return _hrep(d, lambda i, j: Fraction(rng.randint(1, 4 * den), den))
+    if kind == "tied":
+        return _hrep(d, lambda i, j: Fraction(rng.randint(1, 3)))
+    # lower-dimensional: zero-slack pairs pin some differences
+    x = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(d)]
+    slack = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            slack[i, j] = rng.choice([0, Fraction(1, 2), 1, 2])
+            slack[j, i] = 0 if slack[i, j] == 0 else rng.choice([Fraction(1, 2), 1, 2])
+    return _hrep(d, lambda i, j: x[i] - x[j] + slack[i, j])
+
+
+class TestVertexWalk:
+    """The graph walk against the elimination oracle, exact list equality."""
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "flat"])
+    @pytest.mark.parametrize("d,count", [(2, 10), (3, 10), (4, 4), (5, 1)])
+    def test_matches_brute_force_random(self, kind, d, count):
+        for k in range(count):
+            hrep = _random_hrep(kind, d, seed=1000 * d + k)
+            assert enumerate_vertices(hrep, d) == brute_vertices(hrep, d)
+
+    @pytest.mark.parametrize("B", [D4_MATRIX, family3(0), family3(2)],
+                             ids=["d4", "lam0", "lam2"])
+    def test_matches_brute_force_paper(self, B):
+        P = build_polytrope(B)
+        assert list(P.vertices) == brute_vertices(P.hrep, P.dim)
+
+    def test_raw_hrep_with_duplicates(self):
+        hrep = _hrep(3, lambda i, j: Fraction(5 if {i, j} == {0, 2} else 1))
+        hrep.append((1, 0, Fraction(1, 2)))
+        assert enumerate_vertices(hrep, 3) == brute_vertices(hrep, 3)
+
+    def test_infeasible(self):
+        hrep = _hrep(3, lambda i, j: Fraction(-1 if (i, j) == (0, 1) else 0))
+        assert enumerate_vertices(hrep, 3) == brute_vertices(hrep, 3) == []
+
+    def test_dimension_one(self):
+        assert enumerate_vertices([], 1) == brute_vertices([], 1) == [()]
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_isodiametric_samples_are_simple(self, d, strict):
+        for seed in range(4):
+            P = build_polytrope(sample_isodiametric(d, seed, require_strict=strict))
+            assert genericity_check(P)
+            assert len(P.vertices) == math.comb(2 * d - 2, d - 1)
 
 
 class TestProfileAndGenericity:
