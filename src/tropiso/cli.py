@@ -16,7 +16,7 @@ import sys
 from . import dequant, isodiametric, polytrope
 from .assignment import DEFAULT_CAP, tdet, tvol
 from .core import Semiring, TropMatrix, as_rational, tdist, tdiam
-from .errors import FormatError, TropicalError
+from .errors import DomainError, FormatError, TropicalError
 from .matio import (
     dumps_matrix_json,
     format_scalar,
@@ -24,9 +24,6 @@ from .matio import (
     load_plain_matrix,
     matrix_to_csv,
 )
-
-_PAPER_SUITE = []  # populated at module end
-
 
 def _semiring(arg: str | None) -> Semiring | None:
     return None if arg is None else Semiring(arg)
@@ -53,10 +50,15 @@ def _scalar(value, sr: Semiring = Semiring.MAX) -> str:
 
 
 def _cap(args) -> int:
-    if getattr(args, "cap", None):
-        return args.cap
+    """``--cap``, else ``TROPISO_CAP``, else the default; it must be positive."""
     env = os.environ.get("TROPISO_CAP")
-    return int(env) if env else DEFAULT_CAP
+    try:
+        cap = int(args.cap if args.cap is not None else env or DEFAULT_CAP)
+    except ValueError:
+        raise DomainError(f"TROPISO_CAP must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise DomainError("cap must be positive")
+    return cap
 
 
 def _cmd_tdist(args) -> int:
@@ -77,12 +79,13 @@ def _cmd_tdet(args) -> int:
     A = load_matrix(args.matrix, _semiring(args.semiring))
     value, perm = tdet(A)
     if args.format == "json":
-        _emit(_jdump({
+        text = _jdump({
             "value": _scalar(value, A.semiring),
             "witness": None if perm is None else list(perm.images),
-        }), args.output)
+        })
     else:
-        print(_scalar(value, A.semiring))
+        text = _scalar(value, A.semiring) + "\n"
+    _emit(text, args.output)
     return 0
 
 
@@ -173,15 +176,15 @@ def _cmd_render(args) -> int:
 
 def _cmd_qvol(args) -> int:
     cap = _cap(args)
+    parts = []  # emitted once, so -o receives every input's result
     for path in args.matrix:
         A = load_matrix(path, _semiring(args.semiring))
         if args.require_generic:
-            value = dequant.qvol(A, method=args.method, cap=cap)
-            print(_scalar(value))
+            parts.append(_scalar(dequant.qvol(A, method=args.method, cap=cap)) + "\n")
             continue
         res = dequant.qvol_plus(A, method=args.method, cap=cap)
         if args.json:
-            _emit(_jdump({
+            parts.append(_jdump({
                 "value": _scalar(res.value),
                 "witness_columns": None if res.witness_columns is None
                 else list(res.witness_columns),
@@ -189,9 +192,10 @@ def _cmd_qvol(args) -> int:
                 else list(res.witness_perm.images),
                 "method": res.method,
                 "sign_generic_bar": res.sign_generic_bar.value,
-            }), args.output)
+            }))
         else:
-            print(_scalar(res.value))
+            parts.append(_scalar(res.value) + "\n")
+    _emit("".join(parts), args.output)
     return 0
 
 
@@ -254,11 +258,14 @@ def _cmd_paper_suite(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _add_matrix_arg(p, nargs=None):
-    if nargs:
-        p.add_argument("matrix", nargs=nargs, help="matrix file (.json or .csv)")
-    else:
-        p.add_argument("matrix", help="matrix file (.json or .csv)")
+# shared flags; each subcommand takes only those its handler reads
+_FLAGS = {
+    "semiring": (("--semiring",), {"choices": ["min", "max"]}),
+    "format": (("--format",), {"choices": ["json", "csv"], "default": "json"}),
+    "output": (("--output", "-o"), {"help": "write here instead of stdout"}),
+    "cap": (("--cap",), {"type": int, "help": "enumeration cap (or env TROPISO_CAP)"}),
+    "seed": (("--seed",), {"type": int, "default": 0}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,46 +275,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, matrix=True, nargs=None):
+    def add(name, fn, help_, *flags, matrix=True, nargs=None):
         p = sub.add_parser(name, help=help_)
         if matrix:
-            _add_matrix_arg(p, nargs)
-        p.add_argument("--semiring", choices=["min", "max"], default=None)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--output", "-o", default=None, help="write here instead of stdout")
-        p.add_argument("--cap", type=int, default=None,
-                       help="enumeration cap (or env TROPISO_CAP)")
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("matrix", nargs=nargs, help="matrix file (.json or .csv)")
+        for flag in flags:
+            names, kwargs = _FLAGS[flag]
+            p.add_argument(*names, **kwargs)
         p.set_defaults(func=fn)
         return p
 
-    add("tdist", _cmd_tdist, "tropical distance between the two rows of a 2xd matrix")
-    add("tdiam", _cmd_tdiam, "tropical diameter of a square matrix")
-    add("tdet", _cmd_tdet, "tropical determinant and witness permutation")
-    add("tvol", _cmd_tvol, "tropical volume (optimal minus second-best assignment)")
+    add("tdist", _cmd_tdist, "tropical distance between the two rows of a 2xd matrix",
+        "semiring")
+    add("tdiam", _cmd_tdiam, "tropical diameter of a square matrix", "semiring")
+    add("tdet", _cmd_tdet, "tropical determinant and witness permutation",
+        "semiring", "format", "output")
+    add("tvol", _cmd_tvol, "tropical volume (optimal minus second-best assignment)",
+        "semiring")
 
-    p = add("standardize", _cmd_standardize, "equivalent standard form plus move trail")
+    p = add("standardize", _cmd_standardize, "equivalent standard form plus move trail",
+            "semiring", "output")
     p.add_argument("--variant", choices=["max", "min"], default=None)
 
-    p = add("iso-check", _cmd_iso_check, "evaluate the isodiametric conditions (i)-(iv)")
+    p = add("iso-check", _cmd_iso_check, "evaluate the isodiametric conditions (i)-(iv)",
+            "semiring", "output")
     p.add_argument("--variant", choices=["max", "min"], default=None)
 
     p = add("iso-sample", _cmd_iso_sample,
-            "sample a random isodiametric min-standard matrix", matrix=False)
+            "sample a random isodiametric min-standard matrix",
+            "format", "output", "seed", matrix=False)
     p.add_argument("--dim", "-d", type=int, required=True)
     p.add_argument("--strict", action="store_true",
                    help="require strict triple inequalities")
 
-    add("kleene", _cmd_kleene, "Kleene star (shortest-path closure) of a min-plus matrix")
+    add("kleene", _cmd_kleene, "Kleene star (shortest-path closure) of a min-plus matrix",
+        "semiring", "format", "output")
 
-    p = add("polytrope", _cmd_polytrope, "facets, vertices and profile of the polytrope")
+    p = add("polytrope", _cmd_polytrope, "facets, vertices and profile of the polytrope",
+            "semiring")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--svg", default=None, help="write an SVG rendering (3x3 only)")
 
-    p = add("render", _cmd_render, "SVG rendering of a planar polytrope")
+    p = add("render", _cmd_render, "SVG rendering of a planar polytrope", "semiring")
     p.add_argument("--svg", default=None, help="output SVG path (default stdout)")
 
-    p = add("qvol", _cmd_qvol, "upper dequantized tropical volume", nargs="+")
+    p = add("qvol", _cmd_qvol, "upper dequantized tropical volume",
+            "semiring", "output", "cap", nargs="+")
     p.add_argument("--method", choices=[dequant.BRUTE_FORCE, dequant.TRANSPORT_LP],
                    default=dequant.BRUTE_FORCE)
     p.add_argument("--require-generic", action="store_true",
@@ -315,20 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the full result object instead of the bare value")
 
-    p = add("sign-generic", _cmd_sign_generic, "sign-genericity scan of the bar matrix")
+    p = add("sign-generic", _cmd_sign_generic, "sign-genericity scan of the bar matrix",
+            "semiring", "output", "cap")
     p.add_argument("--no-bar", action="store_true",
                    help="scan the matrix itself, without the added zero row")
 
     p = add("dequant-slope", _cmd_dequant_slope,
-            "log-limit slope experiment for the dequantized volume")
+            "log-limit slope experiment for the dequantized volume",
+            "semiring", "output", "cap")
     p.add_argument("--t-grid", default=None, help="comma-separated t values")
     p.add_argument("--csv", default=None, help="write (t, volume, ratio) rows here")
 
     add("bound-check", _cmd_bound_check,
-        "volume bound for an ordinary nonnegative matrix")
-
-    p = sub.add_parser("paper-suite", help="run the built-in reference checks")
-    p.set_defaults(func=_cmd_paper_suite)
+        "volume bound for an ordinary nonnegative matrix", "output")
+    add("paper-suite", _cmd_paper_suite, "run the built-in reference checks", matrix=False)
     return parser
 
 
@@ -478,7 +491,7 @@ def _chk_qvol_values():
     return (va, vb) == (0, -1), f"values {va}, {vb}"
 
 
-_PAPER_SUITE.extend([
+_PAPER_SUITE = [
     ("unit-matrix-diameter", _chk_unit_diameter),
     ("unit-matrix-volume", _chk_unit_volume),
     ("family-metrics", _chk_family_metrics),
@@ -493,7 +506,7 @@ _PAPER_SUITE.extend([
     ("hexagon-markers", _chk_hexagon_markers),
     ("degenerate-generators", _chk_degenerate_generators),
     ("qvol-upper-values", _chk_qvol_values),
-])
+]
 
 
 if __name__ == "__main__":

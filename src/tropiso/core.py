@@ -11,6 +11,7 @@ can be shared freely between threads or processes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,8 +26,10 @@ Entry = Optional[Fraction]  # None encodes the semiring's Bottom element
 def as_rational(value) -> Fraction:
     """Coerce ``value`` to an exact :class:`Fraction`.
 
-    Strings use exact decimal semantics (``"0.1"`` -> 1/10, ``"5/4"`` -> 5/4);
-    floats convert to their exact binary value.
+    Strings use exact decimal semantics (``"0.1"`` -> 1/10, ``"5/4"`` -> 5/4)
+    and must print back: a numerator or denominator longer than the
+    interpreter's int-string digit limit is a :class:`FormatError`.  Floats
+    convert to their exact binary value.
     """
     if isinstance(value, bool):
         raise FormatError(f"cannot interpret {value!r} as a rational number")
@@ -38,8 +41,15 @@ def as_rational(value) -> Fraction:
         except (OverflowError, ValueError) as exc:  # inf / nan floats
             raise FormatError(f"non-finite value {value!r}") from exc
     if isinstance(value, str):
+        token = value.strip()
+        exp = token.lower().partition("e")[2]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
         try:
-            return Fraction(value.strip())
+            if limit and exp and abs(int(exp)) > limit:  # before 10**exp is built
+                raise ValueError("exponent too large")
+            q = Fraction(token)
+            str(q.numerator), str(q.denominator)  # raise past the digit limit
+            return q
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad rational token {value!r}") from exc
     raise FormatError(f"cannot interpret {value!r} as a rational number")

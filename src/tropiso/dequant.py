@@ -20,12 +20,11 @@ polytope volumes.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .assignment import (
     DEFAULT_CAP,
@@ -330,20 +329,25 @@ def dequant_slope(A: TropMatrix, t_grid: Sequence = DEFAULT_T_GRID,
     ts = sorted(as_rational(t) for t in t_grid)
     if not ts or ts[0] <= 1:
         raise DomainError("t grid must contain values > 1")
+    if ts[0] == ts[-1]:
+        raise DomainError("a slope needs at least two distinct t values")
     spec = default_lift(A)
     rows = []
-    for t in ts:
-        mat = lift_eval(spec, t)
-        points = [tuple(mat[i][j] for i in range(A.rows)) for j in range(A.cols)]
-        vol, _ = hull_volume(points)
-        if vol == 0:
-            raise DegenerateHullError(
-                f"lifted column configuration has zero volume at t={t}"
-            )
-        rows.append((t, vol, math.log(vol) / math.log(t)))
-    logt = np.array([math.log(t) for t, _, _ in rows])
-    logv = np.array([math.log(v) for _, v, _ in rows])
-    slope = float(np.polyfit(logt, logv, 1)[0])
+    try:
+        for t in ts:
+            mat = lift_eval(spec, t)
+            points = [tuple(mat[i][j] for i in range(A.rows)) for j in range(A.cols)]
+            vol, _ = hull_volume(points)
+            if vol == 0:
+                raise DegenerateHullError(
+                    f"lifted column configuration has zero volume at t={t}"
+                )
+            rows.append((t, vol, math.log(vol) / math.log(t)))
+    except OverflowError as exc:
+        raise DomainError("lifted values leave the double-precision range") from exc
+    logt = [math.log(t) for t, _, _ in rows]
+    logv = [math.log(v) for _, v, _ in rows]
+    slope = statistics.linear_regression(logt, logv).slope
     return SlopeResult(slope, rows[-1][2], value, tuple(rows))
 
 
@@ -378,20 +382,20 @@ def volume_bound_check(rows: Sequence[Sequence]) -> BoundReport:
         raise DimensionError("ragged rows")
     points = [tuple(grid[i][j] for i in range(d)) for j in range(m)]
     vol, alpha = hull_volume(points)
-    log_entries = [
-        [None if c == 0 else Fraction(math.log(c)) for c in row] for row in grid
-    ]
-    L = TropMatrix(Semiring.MAX, tuple(tuple(r) for r in log_entries))
-    if m >= d:
-        q = qvol_plus(L, compute_parity=False).value
-    else:
-        q = None
-    if q is None:
-        bound = 0.0
-        holds = vol == 0
-    else:
-        bound = alpha * (d + 1) * math.exp(float(q))
-        holds = float(vol) <= bound * (1.0 + BOUND_SLACK)
+    try:
+        log_entries = [
+            [None if c == 0 else Fraction(math.log(c)) for c in row] for row in grid
+        ]
+        L = TropMatrix(Semiring.MAX, tuple(tuple(r) for r in log_entries))
+        q = qvol_plus(L, compute_parity=False).value if m >= d else None
+        if q is None:
+            bound = 0.0
+            holds = vol == 0
+        else:
+            bound = alpha * (d + 1) * math.exp(float(q))
+            holds = float(vol) <= bound * (1.0 + BOUND_SLACK)
+    except OverflowError as exc:
+        raise DomainError("bound check needs values within double-precision range") from exc
     return BoundReport(vol, alpha, None if q is None else float(q), bound, holds)
 
 
@@ -399,7 +403,9 @@ def cauchy_binet_check(B: TropMatrix, C: TropMatrix, I: Sequence[int]) -> bool:
     """Product formula for tropical permanents of column selections.
 
     Verifies tper((B (x) C)[I]) == max over d-subsets K of
-    tper B[K] + tper C[K, I]; expected to hold for every input.
+    tper B[K] + tper C[K, I].  Equality needs the one-parity hypothesis:
+    the optimal permutations of (B (x) C)[I] share one parity.  Without it
+    only ``>=`` holds, and the check can return False.
     """
     _require_max(B)
     _require_max(C)

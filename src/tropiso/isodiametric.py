@@ -183,6 +183,19 @@ def _triple_bounds(variant: StandardVariant) -> tuple[Fraction, Fraction]:
     return Fraction(2), Fraction(4)
 
 
+def _cyclic_triples(ent, indices):
+    """Each triple i < j < k of ``indices`` in its two cyclic orders, with its sum."""
+    for i, j, k in combinations(indices, 3):
+        for a, b, c in ((i, j, k), (i, k, j)):
+            yield (a, b, c), ent[a][b] + ent[b][c] + ent[c][a]
+
+
+def _first(violations) -> ConditionCheck:
+    """Holds iff ``violations`` is empty; else records the first one."""
+    first = next(violations, None)
+    return ConditionCheck(first is None, first)
+
+
 def _scan_conditions(A: TropMatrix, variant: StandardVariant):
     """Evaluate conditions (i)-(iv) on the raw coefficients."""
     d = A.rows
@@ -193,41 +206,14 @@ def _scan_conditions(A: TropMatrix, variant: StandardVariant):
     pair_target = Fraction(0) if variant is StandardVariant.MAX else Fraction(2)
     lo_t, hi_t = _triple_bounds(variant)
 
-    cond_i = ConditionCheck(True)
-    for i in range(d):
-        for j in range(d):
-            if not (lo_i <= ent[i][j] <= hi_i):
-                cond_i = ConditionCheck(False, (i, j))
-                break
-        if not cond_i.holds:
-            break
-
-    cond_ii = ConditionCheck(True)
-    for i in range(d):
-        if ent[i][i] != diag:
-            cond_ii = ConditionCheck(False, (i,))
-            break
-
-    cond_iii = ConditionCheck(True)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if ent[i][j] + ent[j][i] != pair_target:
-                cond_iii = ConditionCheck(False, (i, j))
-                break
-        if not cond_iii.holds:
-            break
-
-    cond_iv = ConditionCheck(True)
-    strict_iv = True
-    for i, j, k in combinations(range(d), 3):
-        for a, b, c in ((i, j, k), (i, k, j)):  # the two cyclic orders
-            s = ent[a][b] + ent[b][c] + ent[c][a]
-            if not (lo_t <= s <= hi_t):
-                if cond_iv.holds:
-                    cond_iv = ConditionCheck(False, (a, b, c))
-                strict_iv = False
-            elif not (lo_t < s < hi_t):
-                strict_iv = False
+    cond_i = _first((i, j) for i in range(d) for j in range(d)
+                    if not lo_i <= ent[i][j] <= hi_i)
+    cond_ii = _first((i,) for i in range(d) if ent[i][i] != diag)
+    cond_iii = _first((i, j) for i in range(d) for j in range(i + 1, d)
+                      if ent[i][j] + ent[j][i] != pair_target)
+    triples = list(_cyclic_triples(ent, range(d)))
+    cond_iv = _first(abc for abc, s in triples if not lo_t <= s <= hi_t)
+    strict_iv = all(lo_t < s < hi_t for _, s in triples)
     return cond_i, cond_ii, cond_iii, cond_iv, strict_iv
 
 
@@ -286,11 +272,7 @@ def is_near_isodiametric(B: TropMatrix) -> bool:
         for j in range(i + 1, d):
             if ent[i][j] + ent[j][i] != 2:
                 return False
-    for i, j, k in combinations(range(d), 3):
-        for a, b, c in ((i, j, k), (i, k, j)):
-            if not (2 <= ent[a][b] + ent[b][c] + ent[c][a] <= 4):
-                return False
-    return True
+    return all(2 <= s <= 4 for _, s in _cyclic_triples(ent, range(d)))
 
 
 def free_parameter_count(d: int) -> int:
@@ -312,7 +294,7 @@ def sample_isodiametric(d: int, seed: int, require_strict: bool = False,
     if d < 3:
         raise DomainError("sampler needs dimension >= 3")
     rng = random.Random(seed)
-    one, two = Fraction(1), Fraction(2)
+    one, two, four = Fraction(1), Fraction(2), Fraction(4)
     lo_num = 1 if require_strict else 0
     hi_num = 2 * _SAMPLER_SCALE - (1 if require_strict else 0)
     inner = range(1, d)  # indices outside the first row/column
@@ -325,19 +307,11 @@ def sample_isodiametric(d: int, seed: int, require_strict: bool = False,
                 if i < j:
                     ent[i][j] = Fraction(rng.randint(lo_num, hi_num), _SAMPLER_SCALE)
                     ent[j][i] = two - ent[i][j]
-        ok = True
-        for i, j, k in combinations(inner, 3):
-            for a, b, c in ((i, j, k), (i, k, j)):
-                s = ent[a][b] + ent[b][c] + ent[c][a]
-                if require_strict:
-                    if not (two < s < two + two):
-                        ok = False
-                        break
-                elif not (two <= s <= two + two):
-                    ok = False
-                    break
-            if not ok:
-                break
+        sums = (s for _, s in _cyclic_triples(ent, inner))
+        if require_strict:
+            ok = all(two < s < four for s in sums)
+        else:
+            ok = all(two <= s <= four for s in sums)
         if ok:
             return TropMatrix(Semiring.MIN, tuple(tuple(r) for r in ent))
     raise SamplerLimitError(

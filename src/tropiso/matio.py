@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .core import Entry, Semiring, TropMatrix, as_rational
+from .core import Entry, Semiring, TropMatrix, _coerce_entry, as_rational
 from .errors import FormatError
 
 
@@ -31,14 +31,7 @@ def format_scalar(entry: Entry, semiring: Semiring) -> str:
 
 def parse_scalar(token: str, semiring: Semiring) -> Entry:
     """Inverse of :func:`format_scalar`; accepts p/q, decimals, and inf tokens."""
-    token = token.strip()
-    if token in ("inf", "+inf", "-inf"):
-        if token.lstrip("+") == semiring.bottom_token:
-            return None
-        raise FormatError(
-            f"token {token!r} is not an element of the {semiring.value}-plus semiring"
-        )
-    return as_rational(token)
+    return _coerce_entry(token, semiring)
 
 
 def _json_scalar(entry: Entry, semiring: Semiring):
@@ -82,13 +75,19 @@ def dumps_matrix_json(A: TropMatrix) -> str:
     return json.dumps(matrix_to_json_obj(A), sort_keys=True)
 
 
-def loads_matrix_json(text: str) -> TropMatrix:
+def _parse_json(text: str):
+    """The JSON value of ``text``; every parse failure becomes a FormatError."""
     try:
         # parse_float sees the literal token, so decimals stay exact
-        obj = json.loads(text, parse_float=Fraction)
+        return json.loads(text, parse_float=as_rational)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
-    return matrix_from_json_obj(obj)
+    except (ValueError, RecursionError) as exc:  # over-long integer, deep nesting
+        raise FormatError(f"unparsable JSON: {exc}") from exc
+
+
+def loads_matrix_json(text: str) -> TropMatrix:
+    return matrix_from_json_obj(_parse_json(text))
 
 
 def matrix_to_csv(A: TropMatrix) -> str:
@@ -98,16 +97,30 @@ def matrix_to_csv(A: TropMatrix) -> str:
     ) + "\n"
 
 
+def _csv_cells(text: str) -> list[list[str]]:
+    return [line.split(",") for line in text.splitlines() if line.strip()]
+
+
 def matrix_from_csv(text: str, semiring: Semiring) -> TropMatrix:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rows.append([parse_scalar(tok, semiring) for tok in line.split(",")])
+    rows = _csv_cells(text)
     if not rows:
         raise FormatError("empty CSV matrix")
-    return TropMatrix(semiring, tuple(tuple(r) for r in rows))
+    return TropMatrix.from_rows(rows, semiring)
+
+
+def _read(path) -> tuple[bool, object]:
+    """``(True, text)`` for a .csv file, else ``(False, parsed JSON)``.
+
+    Every read, decoding and parse failure becomes a :class:`FormatError`.
+    """
+    p = Path(path)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {p}: {exc}") from exc
+    if p.suffix.lower() == ".csv":
+        return True, text
+    return False, _parse_json(text)
 
 
 def load_matrix(path, semiring: Semiring | None = None) -> TropMatrix:
@@ -116,16 +129,12 @@ def load_matrix(path, semiring: Semiring | None = None) -> TropMatrix:
     For JSON the embedded semiring wins and a conflicting ``semiring``
     argument is an error; CSV carries no metadata and requires one.
     """
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {p}: {exc}") from exc
-    if p.suffix.lower() == ".csv":
+    is_csv, content = _read(path)
+    if is_csv:
         if semiring is None:
             raise FormatError("CSV matrices need an explicit semiring (--semiring)")
-        return matrix_from_csv(text, semiring)
-    A = loads_matrix_json(text)
+        return matrix_from_csv(content, semiring)
+    A = matrix_from_json_obj(content)
     if semiring is not None and A.semiring is not semiring:
         raise FormatError(
             f"file declares semiring {A.semiring.value!r}, got {semiring.value!r}"
@@ -144,27 +153,14 @@ def load_plain_matrix(path) -> list[list[Fraction]]:
     Accepts a bare JSON array of rows, a matrix JSON object (semiring
     ignored, Bottom forbidden), or CSV without infinity tokens.
     """
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read {p}: {exc}") from exc
-    if p.suffix.lower() == ".csv":
-        rows = [
-            [as_rational(tok) for tok in line.strip().split(",")]
-            for line in text.splitlines()
-            if line.strip()
-        ]
-    else:
-        try:
-            obj = json.loads(text, parse_float=Fraction)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-        if isinstance(obj, dict):
-            obj = obj.get("data")
-        if not isinstance(obj, list):
-            raise FormatError("expected a JSON array of rows or a 'data' field")
-        rows = [[as_rational(cell) for cell in row] for row in obj]
+    is_csv, content = _read(path)
+    if is_csv:
+        content = _csv_cells(content)
+    elif isinstance(content, dict):
+        content = content.get("data")
+    if not isinstance(content, list) or not all(isinstance(r, list) for r in content):
+        raise FormatError("expected a JSON array of rows or a 'data' field")
+    rows = [[as_rational(cell) for cell in row] for row in content]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise FormatError("ordinary matrix must be a nonempty rectangular grid")
     return rows

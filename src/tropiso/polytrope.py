@@ -200,7 +200,7 @@ def _connected(mask: int, adj: Sequence[int]) -> bool:
 
 
 def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
-                       jobs: int = 1, max_dim: int = 6) -> list[tuple[Fraction, ...]]:
+                       max_dim: int = 6) -> list[tuple[Fraction, ...]]:
     """Exact vertex enumeration of the chart polytope from its inequalities.
 
     Polytropes are alcoved polytopes, so every edge runs along a 0/1 vector
@@ -214,7 +214,6 @@ def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
     the arcs leaving S.  The polyhedron
     must be bounded, which for a Kleene-star system means every ordered pair
     (i, j) contributes a finite inequality.  Vertices are returned sorted.
-    ``jobs`` is accepted and ignored.
     """
     if d > max_dim:
         raise DomainError(
@@ -302,7 +301,7 @@ def facet_profile(P: "Polytrope") -> dict[Facet, int]:
     return _profile(P.hrep, P.irredundant, P.vertices)
 
 
-def build_polytrope(B: TropMatrix, jobs: int = 1, max_dim: int = 6) -> Polytrope:
+def build_polytrope(B: TropMatrix, max_dim: int = 6) -> Polytrope:
     """Assemble star, H-representation, facets, vertices and incidences."""
     star = kleene_star(B)
     d = star.rows
@@ -313,7 +312,7 @@ def build_polytrope(B: TropMatrix, jobs: int = 1, max_dim: int = 6) -> Polytrope
         if i != j and star.entries[i][j] is not None
     )
     irr = tuple(irredundant_facets(star))
-    verts = tuple(enumerate_vertices(hrep, d, jobs=jobs, max_dim=max_dim))
+    verts = tuple(enumerate_vertices(hrep, d, max_dim=max_dim))
     return Polytrope(B, star, hrep, irr, verts, _profile(hrep, irr, verts))
 
 

@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import D4_MATRIX, family3, unit_matrix
 from tropiso import Semiring, save_matrix
-from tropiso.cli import main
+from tropiso.cli import build_parser, main
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def run_cli(args, capsys):
@@ -211,3 +220,166 @@ def test_paper_suite(capsys):
     code, out, _ = run_cli(["paper-suite"], capsys)
     assert code == 0
     assert "14/14 checks passed" in out
+
+
+def _cap_probe(tmp_path):
+    a = tmp_path / "a.json"
+    a.write_text('{"semiring": "max", "data": [[0, 0, 0], [0, 0, 0]]}')
+    return str(a)
+
+
+def test_cap_zero_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TROPISO_CAP", "5")  # an explicit 0 must not fall back to it
+    code, out, err = run_cli(["sign-generic", "--cap", "0", _cap_probe(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert err == "ERROR:domain: cap must be positive\n"
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "-3", "2.5"])
+def test_bad_cap_env_rejected(env, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TROPISO_CAP", env)
+    code, out, err = run_cli(["sign-generic", _cap_probe(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ERROR:domain:")
+
+
+@pytest.mark.parametrize("data, argv", [
+    pytest.param(b'{"semiring": "max", "data": [[' + b"7" * 5000 + b"]]}", ["tvol"],
+                 id="long-int"),
+    pytest.param(b'{"semiring": "max", "data": [[1e999999]]}', ["tdet"], id="huge-exponent"),
+    pytest.param(b'{"semiring": "max", "data": [["9e4300"]]}', ["tdet"], id="long-decimal"),
+    pytest.param(b'{"semiring": "max", "data": [[\xff\xfe]]}', ["tvol"], id="not-utf8"),
+    pytest.param(b"[" * 100_000, ["tvol"], id="deep-nesting"),
+    pytest.param(b"[1, 2]", ["bound-check"], id="row-not-a-list"),
+])
+def test_unreadable_cells_are_format_errors(data, argv, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    code, out, err = run_cli([*argv, str(path)], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ERROR:format:")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_qvol_output_file_holds_every_result(flags, tmp_path, capsys):
+    inputs = [str(DEMO_DATA / "wide_A.json"), str(DEMO_DATA / "wide_B.json")]
+    code, stdout, _ = run_cli(["qvol", *flags, *inputs], capsys)
+    assert code == 0
+    target = tmp_path / "out"
+    code, out, _ = run_cli(["qvol", *flags, "-o", str(target), *inputs], capsys)
+    assert code == 0 and out == ""
+    assert target.read_text() == stdout
+    if not flags:
+        assert stdout == "0\n-1\n"
+
+
+def test_tdet_csv_goes_to_output_file(unit3, tmp_path, capsys):
+    target = tmp_path / "out"
+    code, out, _ = run_cli(["tdet", "--format", "csv", "-o", str(target), unit3], capsys)
+    assert code == 0 and out == ""
+    assert target.read_text() == "3\n"
+
+
+# The shared flags each subcommand takes: only those its handler reads.
+FLAG_SETS = {
+    "tdist": {"--semiring"},
+    "tdiam": {"--semiring"},
+    "tdet": {"--semiring", "--format", "--output"},
+    "tvol": {"--semiring"},
+    "standardize": {"--semiring", "--output"},
+    "iso-check": {"--semiring", "--output"},
+    "iso-sample": {"--format", "--output", "--seed"},
+    "kleene": {"--semiring", "--format", "--output"},
+    "polytrope": {"--semiring"},
+    "render": {"--semiring"},
+    "qvol": {"--semiring", "--output", "--cap"},
+    "sign-generic": {"--semiring", "--output", "--cap"},
+    "dequant-slope": {"--semiring", "--output", "--cap"},
+    "bound-check": {"--output"},
+    "paper-suite": set(),
+}
+SHARED = {"--semiring", "--format", "--output", "--cap", "--seed"}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a.choices, dict)).choices
+    got = {name: {opt for act in p._actions for opt in act.option_strings} & SHARED
+           for name, p in subparsers.items()}
+    assert got == FLAG_SETS
+    assert sum(map(len, FLAG_SETS.values())) == 28
+
+
+@pytest.mark.parametrize("argv", [
+    ["tdiam", "--seed", "5"],
+    ["tvol", "-o", "OUT"],
+    ["tdiam", "--cap", "3"],
+    ["polytrope", "--format", "csv"],
+    ["bound-check", "--semiring", "max"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path):
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(DEMO_DATA / "unit3.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+# values for the shared flags; "OUT" stands for a file in the test's temporary directory
+FLAG_VALUES = {
+    "--semiring": st.sampled_from(["min", "max"]),
+    "--format": st.sampled_from(["json", "csv"]),
+    "--output": st.just("OUT"),
+    "--cap": st.integers(-1, 4).map(str),
+    "--seed": st.integers(0, 50).map(str),
+}
+_TOKENS = ["0", "1", "2", "3", "-1"] * 4 + ["1/2", "0.5", "inf", "-inf", "x"]
+
+
+@st.composite
+def _input_file(draw):
+    """(suffix, up to 200 bytes): arbitrary bytes, or a small matrix file, maybe malformed."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([".json", ".csv"])), draw(st.binary(max_size=200))
+    rows = draw(st.lists(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=5),
+                         min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["csv", "array", "min", "max"]))
+    if kind == "csv":
+        return ".csv", "\n".join(",".join(row) for row in rows).encode()
+    data = [[int(t) if t.lstrip("-").isdigit() else t for t in row] for row in rows]
+    text = json.dumps(data if kind == "array" else {"semiring": kind, "data": data})
+    return ".json", text.encode()[:200]
+
+
+@st.composite
+def _cli_case(draw):
+    """(argv without the input file, input suffix or None, input bytes)."""
+    command = draw(st.sampled_from(sorted(set(FLAG_SETS) - {"paper-suite"})))
+    flags = sorted(draw(st.sets(st.sampled_from(sorted(FLAG_SETS[command])))))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(FLAG_VALUES[flag])]
+    if command == "iso-sample":
+        return argv + ["--dim", str(draw(st.integers(-1, 5)))], None, b""
+    return (argv, *draw(_input_file()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cli_case())
+def test_cli_contract_on_arbitrary_files(case):
+    argv, suffix, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [f"{tmp}/out" if a == "OUT" else a for a in argv]
+        if suffix is not None:
+            Path(tmp, "input" + suffix).write_bytes(data)
+            argv.append(f"{tmp}/input{suffix}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage error
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert re.fullmatch(r"ERROR:[a-z-]+: [^\n]*\n", err.getvalue())

@@ -281,6 +281,16 @@ class TestDequantSlope:
         res = dequant_slope(WORKED, t_grid=(10, 100))
         assert [t for t, _, _ in res.rows] == [10, 100]
 
+    @pytest.mark.parametrize("grid", [(10,), (100, 100)])
+    def test_slope_needs_two_distinct_t(self, grid):
+        with pytest.raises(DomainError):
+            dequant_slope(WORKED, t_grid=grid)
+
+    @pytest.mark.parametrize("big", [60, Fraction(121, 2)], ids=["integer", "fraction"])
+    def test_volumes_past_double_range_rejected(self, big):
+        with pytest.raises(DomainError):
+            dequant_slope(mk([[0, 1, 0], [0, 0, big]]))
+
     def test_shifted_exponents_track_shifted_qvol(self):
         # adding c to every exponent multiplies volumes by ~t**(d*c), so the
         # slope follows the qvol of the shifted matrix (qvol + d*c)
@@ -313,6 +323,13 @@ class TestVolumeBound:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             volume_bound_check([[1, -1], [0, 1]])
+
+    @pytest.mark.parametrize("big", [10 ** 400, 10 ** 200], ids=["log", "exp"])
+    def test_values_past_double_range_rejected(self, big):
+        # 10**400 has no float logarithm; 10**200 cubed overflows exp()
+        rows = [[big, 1, 1], [1, big, 1], [1, 1, big]]
+        with pytest.raises(DomainError):
+            volume_bound_check(rows)
 
     def test_random_sweep(self):
         rng = random.Random(505)

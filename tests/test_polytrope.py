@@ -149,11 +149,6 @@ class TestVertices:
         with pytest.raises(DomainError):
             enumerate_vertices([], 7)
 
-    def test_jobs_do_not_change_output(self):
-        P1 = build_polytrope(D4_MATRIX, jobs=1)
-        P2 = build_polytrope(D4_MATRIX, jobs=2)
-        assert P1.vertices == P2.vertices
-
 
 def _hrep(d, bound):
     return [(i, j, bound(i, j)) for i in range(d) for j in range(d) if i != j]
