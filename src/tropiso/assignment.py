@@ -9,6 +9,11 @@ The solver is a shortest-augmenting-path Hungarian method run on exact
 integers: rational entries are scaled by the common denominator, so every
 comparison is exact and knife-edge ties are preserved.  Bottom entries are
 excluded arcs (forbidden assignment cells).
+
+Every quantity reads one solve and its duals u, v: a permutation costs the
+optimum plus its reduced costs g_ij - u_i - v_j >= 0, so the optima are the
+perfect matchings on tight (zero) cells and the second best adds the cheapest
+reduced-cost cycle (Burkard, Dell'Amico & Martello, *Assignment Problems*).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import Entry, Semiring, TropMatrix, require_finite, require_square
 from .errors import DimensionError, DomainError
@@ -70,23 +75,35 @@ class Permutation:
         return total
 
 
-def _int_grid(A: TropMatrix) -> tuple[list[list[Optional[int]]], int]:
-    """Clear denominators: return (integer grid with None preserved, scale)."""
-    dens = {cell.denominator for row in A.entries for cell in row if cell is not None}
-    scale = math.lcm(*dens) if dens else 1
-    grid = [
-        [None if cell is None else cell.numerator * (scale // cell.denominator)
-         for cell in row]
-        for row in A.entries
-    ]
-    return grid, scale
+class _Solution(NamedTuple):
+    """An optimum of ``grid`` (the matrix times ``scale``, negated for max-plus,
+    None cells forbidden) with duals: g_ij - u_i - v_j >= 0 on every allowed
+    cell, with equality on the optimum ``images``."""
+
+    grid: list[list[Optional[int]]]
+    scale: int
+    sign: int
+    total: int
+    images: tuple[int, ...]
+    u: list[int]
+    v: list[int]
+
+    def value(self, total: int) -> Fraction:
+        """The tropical value of a grid total."""
+        return Fraction(self.sign * total, self.scale)
+
+    def tight_columns(self) -> list[list[int]]:
+        """Per row, the ascending columns of zero reduced cost."""
+        u, v = self.u, self.v
+        return [[j for j, g in enumerate(row) if g is not None and g - u[i] == v[j]]
+                for i, row in enumerate(self.grid)]
 
 
 def _hungarian_min(grid: list[list[Optional[int]]]):
     """Min-cost perfect matching on an integer grid; None cells are forbidden.
 
-    Returns (total cost, images) or None when no perfect matching exists.
-    Shortest augmenting paths with dual potentials; exact throughout.
+    Returns (total cost, images, u, v) or None when no perfect matching exists.
+    Shortest augmenting paths with dual potentials u, v; exact throughout.
     """
     n = len(grid)
     u = [0] * n
@@ -135,7 +152,82 @@ def _hungarian_min(grid: list[list[Optional[int]]]):
         if match[j] >= 0:
             images[match[j]] = j
     total = sum(grid[r][images[r]] for r in range(n))
-    return total, tuple(images)
+    return total, tuple(images), u, v[:n]
+
+
+def _solve(A: TropMatrix) -> Optional[_Solution]:
+    """Scale A to integers, negate it for max-plus, solve once; None if infeasible."""
+    require_square(A)
+    dens = {cell.denominator for row in A.entries for cell in row if cell is not None}
+    scale = math.lcm(*dens) if dens else 1
+    sign = -1 if A.semiring is Semiring.MAX else 1
+    grid = [
+        [None if cell is None else sign * cell.numerator * (scale // cell.denominator)
+         for cell in row]
+        for row in A.entries
+    ]
+    res = _hungarian_min(grid)
+    return None if res is None else _Solution(grid, scale, sign, *res)
+
+
+def _cheapest_cycle(sol: _Solution) -> int:
+    """Least extra cost of a permutation other than the optimum (finite, d >= 2).
+
+    Any other permutation is the optimum with disjoint cycles swapped in,
+    and costs the optimum plus their reduced costs, all >= 0.  So the
+    runner-up swaps in one cheapest cycle of the digraph on rows with arcs
+    i -> k of weight r[i][images[k]], k != i: one Floyd-Warshall pass.
+    """
+    g, u, v, img = sol.grid, sol.u, sol.v, sol.images
+    d = len(img)
+    dist = [[math.inf if k == i else g[i][img[k]] - u[i] - v[img[k]] for k in range(d)]
+            for i in range(d)]
+    for k in range(d):
+        dk = dist[k]
+        for i in range(d):
+            dik = dist[i][k]
+            dist[i] = [a if a <= dik + b else dik + b for a, b in zip(dist[i], dk)]
+    return min(dist[i][i] for i in range(d))
+
+
+def _reroute(tight, match, owner, i: int, c: int) -> bool:
+    """Give column c to row i, moving c's row onto match[i] along one
+    alternating tight path through rows > i; False when there is none."""
+    free = match[i]
+    prev = {owner[c]: None}
+    stack = [owner[c]]
+    while stack:
+        r = stack.pop()
+        for j in tight[r]:
+            if j == free:
+                while r is not None:  # each row on the path takes the next column
+                    match[r], j = j, match[r]
+                    owner[match[r]] = r
+                    r = prev[r]
+                match[i], owner[c] = c, i
+                return True
+            s = owner[j]
+            if s > i and s not in prev:
+                prev[s] = r
+                stack.append(s)
+    return False
+
+
+def _lex_images(sol: _Solution) -> tuple[int, ...]:
+    """Lexicographically smallest optimum: a row-by-row greedy on the tight graph.
+
+    The optima are exactly the perfect matchings on zero reduced-cost cells.
+    """
+    tight = sol.tight_columns()
+    match = list(sol.images)
+    owner = [0] * len(match)
+    for i, j in enumerate(match):
+        owner[j] = i
+    for i in range(len(match)):
+        for c in tight[i]:
+            if c == match[i] or (owner[c] > i and _reroute(tight, match, owner, i, c)):
+                break
+    return tuple(match)
 
 
 def solve_optimal(A: TropMatrix) -> tuple[Entry, Optional[Permutation]]:
@@ -144,17 +236,10 @@ def solve_optimal(A: TropMatrix) -> tuple[Entry, Optional[Permutation]]:
     Minimizes in min-plus, maximizes in max-plus.  Returns (Bottom, None)
     when every permutation hits a Bottom cell.
     """
-    require_square(A)
-    grid, scale = _int_grid(A)
-    if A.semiring is Semiring.MAX:
-        grid = [[None if c is None else -c for c in row] for row in grid]
-    res = _hungarian_min(grid)
-    if res is None:
+    sol = _solve(A)
+    if sol is None:
         return None, None
-    total, images = res
-    if A.semiring is Semiring.MAX:
-        total = -total
-    return Fraction(total, scale), Permutation(images)
+    return sol.value(sol.total), Permutation(sol.images)
 
 
 def tdet(A: TropMatrix) -> tuple[Entry, Optional[Permutation]]:
@@ -163,64 +248,28 @@ def tdet(A: TropMatrix) -> tuple[Entry, Optional[Permutation]]:
 
 
 def lex_optimal_permutation(A: TropMatrix) -> Optional[Permutation]:
-    """Lexicographically smallest permutation attaining the tropical determinant."""
-    value, perm = solve_optimal(A)
-    if perm is None:
-        return None
-    d = A.rows
-    ident = Permutation.identity(d)
-    if ident.weight_of(A) == value:
-        return ident  # the identity is lex-minimal among all permutations
-    chosen: list[int] = []
-    used: set[int] = set()
-    prefix = Fraction(0)
-    for i in range(d):
-        for c in range(d):
-            if c in used:
-                continue
-            cell = A.entries[i][c]
-            if cell is None:
-                continue
-            rest_cols = [j for j in range(d) if j not in used and j != c]
-            if rest_cols:
-                sub = TropMatrix(
-                    A.semiring,
-                    tuple(tuple(A.entries[r][j] for j in rest_cols)
-                          for r in range(i + 1, d)),
-                )
-                sub_val, _ = solve_optimal(sub)
-                if sub_val is None:
-                    continue
-            else:
-                sub_val = Fraction(0)
-            if prefix + cell + sub_val == value:
-                chosen.append(c)
-                used.add(c)
-                prefix += cell
-                break
-        else:  # pragma: no cover - contradicts solver optimality
-            raise AssertionError("optimal prefix could not be extended")
-    return Permutation(tuple(chosen))
+    """Lexicographically smallest permutation attaining the tropical determinant.
+
+    Greedy on the tight graph of one solve: each row keeps its smallest
+    zero reduced-cost column that still extends to a perfect matching.
+    """
+    sol = _solve(A)
+    return None if sol is None else Permutation(_lex_images(sol))
 
 
-def _visit_optima(A: TropMatrix, visit: Callable[[tuple[int, ...]], bool]) -> bool:
+def _visit_optima(sol: Optional[_Solution], visit: Callable[[tuple[int, ...]], bool]) -> bool:
     """Depth-first walk over all optimal permutations in lexicographic order.
 
-    ``visit`` gets each image tuple and returns False to stop early.
-    Returns True iff the enumeration ran to completion.
+    Only zero reduced-cost cells lie on an optimum.  ``visit`` gets each
+    image tuple and returns False to stop early.  Returns True iff the
+    enumeration ran to completion.
     """
-    value, perm = solve_optimal(A)
-    if perm is None:
+    if sol is None:
         return True
-    grid, scale = _int_grid(A)
-    if A.semiring is Semiring.MIN:
-        grid = [[None if c is None else -c for c in row] for row in grid]
-        target = -(value * scale)
-    else:
-        target = value * scale
-    target = int(target)
+    grid, target = sol.grid, sol.total
+    tight = sol.tight_columns()
     d = len(grid)
-    row_best = [max(c for c in row if c is not None) for row in grid]
+    row_best = [min(c for c in row if c is not None) for row in grid]
     suffix_best = [0] * (d + 1)
     for i in range(d - 1, -1, -1):
         suffix_best[i] = suffix_best[i + 1] + row_best[i]
@@ -235,13 +284,11 @@ def _visit_optima(A: TropMatrix, visit: Callable[[tuple[int, ...]], bool]) -> bo
             if not visit(tuple(images)):
                 stopped = True
             return
-        for c in range(d):
+        for c in tight[i]:
             if mask >> c & 1:
                 continue
             cell = grid[i][c]
-            if cell is None:
-                continue
-            if partial + cell + suffix_best[i + 1] < target:
+            if partial + cell + suffix_best[i + 1] > target:
                 continue
             images.append(c)
             rec(i + 1, mask | (1 << c), partial + cell, images)
@@ -267,33 +314,26 @@ def enumerate_optima(A: TropMatrix, cap: int = DEFAULT_CAP) -> tuple[list[Permut
         found.append(Permutation(images))
         return len(found) < cap
 
-    completed = _visit_optima(A, visit)
+    completed = _visit_optima(_solve(A), visit)
     return found, not completed
+
+
+def _finite_solve(A: TropMatrix, what: str) -> _Solution:
+    require_square(A)
+    require_finite(A)
+    if A.rows < 2:
+        raise DomainError(f"{what} needs dimension >= 2")
+    return _solve(A)
 
 
 def second_best(A: TropMatrix) -> Fraction:
     """Best assignment value over all permutations other than the optimum.
 
-    Re-solves with each optimal edge individually forbidden and keeps the
-    best outcome; with multiple optima this equals the optimal value itself.
+    The optimum plus the cheapest reduced-cost cycle of one solve; with
+    multiple optima that cycle costs 0 and this equals the optimal value.
     """
-    require_square(A)
-    require_finite(A)
-    if A.rows < 2:
-        raise DomainError("second-best value needs dimension >= 2")
-    value, perm = solve_optimal(A)
-    best2: Entry = None
-    rows = [list(r) for r in A.entries]
-    for i, j in enumerate(perm.images):
-        saved = rows[i][j]
-        rows[i][j] = None
-        forbidden = TropMatrix(A.semiring, tuple(tuple(r) for r in rows))
-        cand, _ = solve_optimal(forbidden)
-        best2 = A.semiring.combine(best2, cand)
-        rows[i][j] = saved
-    if best2 is None:  # pragma: no cover - impossible for finite d >= 2
-        raise AssertionError("no second permutation found")
-    return best2
+    sol = _finite_solve(A, "second-best value")
+    return sol.value(sol.total + _cheapest_cycle(sol))
 
 
 def tvol(A: TropMatrix) -> Fraction:
@@ -303,12 +343,8 @@ def tvol(A: TropMatrix) -> Fraction:
     (tropical singularity); invariant under transposition, row/column
     permutations and translations.
     """
-    require_square(A)
-    require_finite(A)
-    if A.rows < 2:
-        raise DomainError("tropical volume needs dimension >= 2")
-    value, _ = solve_optimal(A)
-    return abs(value - second_best(A))
+    sol = _finite_solve(A, "tropical volume")
+    return Fraction(_cheapest_cycle(sol), sol.scale)
 
 
 @dataclass(frozen=True)
@@ -323,15 +359,12 @@ class AssignmentCertificate:
 
 
 def certificate(A: TropMatrix) -> AssignmentCertificate:
-    require_square(A)
-    require_finite(A)
-    if A.rows < 2:
-        raise DomainError("certificate needs dimension >= 2")
-    value, _ = solve_optimal(A)
-    perm = lex_optimal_permutation(A)
-    second = second_best(A)
-    gap = abs(value - second)
-    return AssignmentCertificate(value, perm, second, gap, gap > 0)
+    sol = _finite_solve(A, "certificate")
+    gap = _cheapest_cycle(sol)
+    return AssignmentCertificate(
+        sol.value(sol.total), Permutation(_lex_images(sol)),
+        sol.value(sol.total + gap), Fraction(gap, sol.scale), gap > 0,
+    )
 
 
 class ParityVerdict(Enum):
@@ -373,7 +406,8 @@ def parity_report(A: TropMatrix, cap: int = DEFAULT_CAP) -> ParityReport:
     require_square(A)
     if cap < 1:
         raise DomainError("cap must be positive")
-    if A.is_finite and A.rows >= 2 and tvol(A) > 0:
+    sol = _solve(A)
+    if A.is_finite and A.rows >= 2 and _cheapest_cycle(sol) > 0:
         return ParityReport(ParityVerdict.SAME, 1, ParityMethod.UNIQUENESS_SHORTCUT)
 
     parities: set[int] = set()
@@ -390,7 +424,7 @@ def parity_report(A: TropMatrix, cap: int = DEFAULT_CAP) -> ParityReport:
             return False
         return count < cap
 
-    completed = _visit_optima(A, visit)
+    completed = _visit_optima(sol, visit)
     if len(parities) == 2:
         return ParityReport(
             ParityVerdict.MIXED, count, ParityMethod.FULL_ENUMERATION,

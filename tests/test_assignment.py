@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import tropiso.assignment as assignment
 from conftest import (
     brute_assignment_values,
     brute_optima,
@@ -10,6 +11,7 @@ from conftest import (
     family3,
     random_finite,
     random_with_bottom,
+    scaled_grid,
     unit_matrix,
 )
 from tropiso import (
@@ -265,3 +267,74 @@ class TestParityReport:
             parities = {Permutation(p).parity for p in optima}
             expected = ParityVerdict.MIXED if len(parities) == 2 else ParityVerdict.SAME
             assert rep.verdict is expected
+
+
+def _oracle_inputs(seed: int, per_case: int = 6):
+    """Generic rational, tied {0,1,2} and Bottom-holding matrices, d = 1..7."""
+    rng = random.Random(seed)
+    for d in range(1, 8):
+        for sr in (Semiring.MIN, Semiring.MAX):
+            for _ in range(per_case):
+                yield random_finite(rng, d, d, sr, lo=-3, hi=3, den=6)
+                yield random_finite(rng, d, d, sr, lo=0, hi=2, den=1)
+                yield random_with_bottom(rng, d, d, sr, p_bottom=0.25, lo=-2, hi=2)
+
+
+class TestOneSolveAgainstOracles:
+    def test_duals_certify_the_optimum(self):
+        for A in _oracle_inputs(101):
+            grid, _ = scaled_grid(A)
+            res = assignment._hungarian_min(grid)
+            if res is None:
+                assert brute_optima(A) == []
+                continue
+            total, images, u, v = res
+            d = len(grid)
+            for i in range(d):
+                for j in range(d):
+                    if grid[i][j] is not None:
+                        assert grid[i][j] - u[i] - v[j] >= 0
+            assert all(grid[i][j] - u[i] - v[j] == 0 for i, j in enumerate(images))
+            assert sum(u) + sum(v) == total == sum(grid[i][j] for i, j in enumerate(images))
+
+    def test_second_best_and_tvol(self):
+        for A in _oracle_inputs(102):
+            if A.rows < 2 or not A.is_finite:
+                continue
+            best, second = brute_assignment_values(A)
+            assert second_best(A) == second
+            assert tvol(A) == abs(best - second)
+
+    def test_lex_witness(self):
+        for A in _oracle_inputs(103):
+            optima = brute_optima(A)
+            lex = lex_optimal_permutation(A)
+            assert (lex.images if lex else None) == (optima[0] if optima else None)
+            if A.rows >= 2 and A.is_finite:
+                cert = certificate(A)
+                assert cert.best_perm.images == optima[0]
+                assert (cert.best_value, cert.second_value) == brute_assignment_values(A)
+
+    def test_no_finite_permutation(self):
+        A = TropMatrix.from_rows([[0, 1, "-inf"], [2, "-inf", "-inf"], [3, "-inf", "-inf"]],
+                                 Semiring.MAX)
+        assert lex_optimal_permutation(A) is None
+        assert enumerate_optima(A) == ([], False)
+
+
+def test_each_quantity_solves_once(monkeypatch):
+    rng = random.Random(16)
+    A = random_finite(rng, 16, 16, Semiring.MAX, lo=-50, hi=50, den=7)
+    assert len(enumerate_optima(A)[0]) == 1
+    calls = []
+    solve = assignment._hungarian_min
+
+    def counting(grid):
+        calls.append(len(grid))
+        return solve(grid)
+
+    monkeypatch.setattr(assignment, "_hungarian_min", counting)
+    for fn in (tvol, second_best, certificate, lex_optimal_permutation, parity_report):
+        calls.clear()
+        fn(A)
+        assert calls == [16], fn.__name__

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -16,6 +17,14 @@ from tropiso import Semiring, save_matrix
 from tropiso.cli import build_parser, main
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def cli_process(*args):
+    """``python -m tropiso.cli`` in a child process that imports this checkout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tropiso.cli", *args],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def run_cli(args, capsys):
@@ -192,18 +201,13 @@ def test_unreadable_file(capsys):
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "tropiso.cli", "no-such-command"],
-        capture_output=True,
-    )
-    assert proc.returncode == 2
+    assert cli_process("no-such-command").returncode == 2
 
 
 def test_byte_identical_runs(tmp_path):
-    env_cmd = [sys.executable, "-m", "tropiso.cli", "iso-sample", "-d", "5",
-               "--seed", "7", "--strict"]
-    a = subprocess.run(env_cmd, capture_output=True)
-    b = subprocess.run(env_cmd, capture_output=True)
+    cmd = ["iso-sample", "-d", "5", "--seed", "7", "--strict"]
+    a = cli_process(*cmd)
+    b = cli_process(*cmd)
     assert a.stdout == b.stdout and a.returncode == 0
 
 
