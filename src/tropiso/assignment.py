@@ -177,11 +177,15 @@ def _cheapest_cycle(sol: _Solution) -> int:
     and costs the optimum plus their reduced costs, all >= 0.  So the
     runner-up swaps in one cheapest cycle of the digraph on rows with arcs
     i -> k of weight r[i][images[k]], k != i: one Floyd-Warshall pass.
+    Exact integers throughout; the diagonal starts at one more than the sum
+    of all arc weights, which no simple cycle reaches.
     """
     g, u, v, img = sol.grid, sol.u, sol.v, sol.images
     d = len(img)
-    dist = [[math.inf if k == i else g[i][img[k]] - u[i] - v[img[k]] for k in range(d)]
-            for i in range(d)]
+    dist = [[g[i][img[k]] - u[i] - v[img[k]] for k in range(d)] for i in range(d)]
+    unreached = 1 + sum(map(sum, dist))  # the diagonal of dist is 0 here
+    for i in range(d):
+        dist[i][i] = unreached
     for k in range(d):
         dk = dist[k]
         for i in range(d):
@@ -260,26 +264,19 @@ def lex_optimal_permutation(A: TropMatrix) -> Optional[Permutation]:
 def _visit_optima(sol: Optional[_Solution], visit: Callable[[tuple[int, ...]], bool]) -> bool:
     """Depth-first walk over all optimal permutations in lexicographic order.
 
-    Only zero reduced-cost cells lie on an optimum.  ``visit`` gets each
-    image tuple and returns False to stop early.  Returns True iff the
-    enumeration ran to completion.
+    The optima are exactly the perfect matchings on zero reduced-cost cells,
+    so every complete tight branch is one.  ``visit`` gets each image tuple
+    and returns False to stop early.  Returns True iff the enumeration ran
+    to completion.
     """
     if sol is None:
         return True
-    grid, target = sol.grid, sol.total
     tight = sol.tight_columns()
-    d = len(grid)
-    row_best = [min(c for c in row if c is not None) for row in grid]
-    suffix_best = [0] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        suffix_best[i] = suffix_best[i + 1] + row_best[i]
-
+    d = len(tight)
     stopped = False
 
-    def rec(i: int, mask: int, partial: int, images: list[int]) -> None:
+    def rec(i: int, mask: int, images: list[int]) -> None:
         nonlocal stopped
-        if stopped:
-            return
         if i == d:
             if not visit(tuple(images)):
                 stopped = True
@@ -287,16 +284,13 @@ def _visit_optima(sol: Optional[_Solution], visit: Callable[[tuple[int, ...]], b
         for c in tight[i]:
             if mask >> c & 1:
                 continue
-            cell = grid[i][c]
-            if partial + cell + suffix_best[i + 1] > target:
-                continue
             images.append(c)
-            rec(i + 1, mask | (1 << c), partial + cell, images)
+            rec(i + 1, mask | (1 << c), images)
             images.pop()
             if stopped:
                 return
 
-    rec(0, 0, 0, [])
+    rec(0, 0, [])
     return not stopped
 
 

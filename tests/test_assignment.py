@@ -315,6 +315,23 @@ class TestOneSolveAgainstOracles:
                 assert cert.best_perm.images == optima[0]
                 assert (cert.best_value, cert.second_value) == brute_assignment_values(A)
 
+    @pytest.mark.parametrize("semiring", [Semiring.MAX, Semiring.MIN])
+    def test_entries_beyond_float_range(self, semiring):
+        big = 7 * 10**400 + 3
+        cases = [
+            [[big, 0], [0, 0]],
+            [[big, 1, -big], [Fraction(big, 9), 0, 5], [-3, big, 2]],
+            [[0, big, big + 1], [big, 0, Fraction(1, 3)], [big - 2, 7, 0]],
+        ]
+        for rows in cases:
+            A = TropMatrix.from_rows(rows, semiring)
+            best, second = brute_assignment_values(A)
+            assert second_best(A) == second
+            assert tvol(A) == abs(best - second)
+            cert = certificate(A)
+            assert (cert.best_value, cert.second_value) == (best, second)
+            assert cert.best_perm.images == brute_optima(A)[0]
+
     def test_no_finite_permutation(self):
         A = TropMatrix.from_rows([[0, 1, "-inf"], [2, "-inf", "-inf"], [3, "-inf", "-inf"]],
                                  Semiring.MAX)
@@ -326,6 +343,7 @@ def test_each_quantity_solves_once(monkeypatch):
     rng = random.Random(16)
     A = random_finite(rng, 16, 16, Semiring.MAX, lo=-50, hi=50, den=7)
     assert len(enumerate_optima(A)[0]) == 1
+    tied = TropMatrix.from_rows([[0] * 7 for _ in range(7)], Semiring.MAX)
     calls = []
     solve = assignment._hungarian_min
 
@@ -334,7 +352,13 @@ def test_each_quantity_solves_once(monkeypatch):
         return solve(grid)
 
     monkeypatch.setattr(assignment, "_hungarian_min", counting)
-    for fn in (tvol, second_best, certificate, lex_optimal_permutation, parity_report):
+    for fn in (tvol, second_best, certificate, lex_optimal_permutation, parity_report,
+               enumerate_optima, assignment.solve_optimal):
         calls.clear()
         fn(A)
         assert calls == [16], fn.__name__
+    # the tied matrix takes the enumeration branch: 5040 optima, both parities
+    for fn, cap in ((parity_report, 3), (parity_report, 10_000), (enumerate_optima, 3)):
+        calls.clear()
+        fn(tied, cap)
+        assert calls == [7], (fn.__name__, cap)
