@@ -155,9 +155,8 @@ def _hungarian_min(grid: list[list[Optional[int]]]):
     return total, tuple(images), u, v[:n]
 
 
-def _solve(A: TropMatrix) -> Optional[_Solution]:
-    """Scale A to integers, negate it for max-plus, solve once; None if infeasible."""
-    require_square(A)
+def _scaled_grid(A: TropMatrix) -> tuple[list[list[Optional[int]]], int, int]:
+    """(grid, scale, sign): A times the common denominator, negated for max-plus."""
     dens = {cell.denominator for row in A.entries for cell in row if cell is not None}
     scale = math.lcm(*dens) if dens else 1
     sign = -1 if A.semiring is Semiring.MAX else 1
@@ -166,8 +165,19 @@ def _solve(A: TropMatrix) -> Optional[_Solution]:
          for cell in row]
         for row in A.entries
     ]
+    return grid, scale, sign
+
+
+def _solve_grid(grid: list, scale: int, sign: int) -> Optional[_Solution]:
+    """Solve a square grid (or a slice of one) once; None if infeasible."""
     res = _hungarian_min(grid)
     return None if res is None else _Solution(grid, scale, sign, *res)
+
+
+def _solve(A: TropMatrix) -> Optional[_Solution]:
+    """Scale A to integers, negate it for max-plus, solve once; None if infeasible."""
+    require_square(A)
+    return _solve_grid(*_scaled_grid(A))
 
 
 def _cheapest_cycle(sol: _Solution) -> int:
@@ -192,6 +202,28 @@ def _cheapest_cycle(sol: _Solution) -> int:
             dik = dist[i][k]
             dist[i] = [a if a <= dik + b else dik + b for a, b in zip(dist[i], dk)]
     return min(dist[i][i] for i in range(d))
+
+
+def _unique_optimum(sol: _Solution) -> bool:
+    """Is the optimum unique?  Another one swaps in disjoint zero reduced-cost
+    cycles, so iff the tight digraph on rows, arcs i -> k != i where
+    r[i][images[k]] = 0, is acyclic: peeling off sinks removes every row.
+    """
+    owner = {j: k for k, j in enumerate(sol.images)}
+    preds: list[list[int]] = [[] for _ in sol.images]
+    outdeg = [0] * len(sol.images)
+    for i, cols in enumerate(sol.tight_columns()):
+        for j in cols:
+            if owner[j] != i:
+                preds[owner[j]].append(i)
+                outdeg[i] += 1
+    sinks = [i for i, n in enumerate(outdeg) if n == 0]
+    for k in sinks:  # grows while it is walked
+        for i in preds[k]:
+            outdeg[i] -= 1
+            if outdeg[i] == 0:
+                sinks.append(i)
+    return len(sinks) == len(outdeg)
 
 
 def _reroute(tight, match, owner, i: int, c: int) -> bool:
@@ -393,15 +425,19 @@ class ParityReport:
 def parity_report(A: TropMatrix, cap: int = DEFAULT_CAP) -> ParityReport:
     """Parity analysis of the optimal permutations of a square matrix.
 
-    A finite matrix with positive tropical volume has a unique optimum and
-    short-circuits to SAME; otherwise the optima are enumerated (up to
-    ``cap``), stopping as soon as both parities have been seen.
+    A finite matrix (d >= 2) whose tight digraph is acyclic has a unique
+    optimum and short-circuits to SAME; otherwise the optima are enumerated
+    (up to ``cap``), stopping as soon as both parities have been seen.
     """
     require_square(A)
+    return _parity(_solve(A), A.is_finite, cap)
+
+
+def _parity(sol: Optional[_Solution], finite: bool, cap: int) -> ParityReport:
+    """Parity analysis of one solve; ``finite`` says its grid has no Bottom cell."""
     if cap < 1:
         raise DomainError("cap must be positive")
-    sol = _solve(A)
-    if A.is_finite and A.rows >= 2 and _cheapest_cycle(sol) > 0:
+    if finite and len(sol.images) >= 2 and _unique_optimum(sol):
         return ParityReport(ParityVerdict.SAME, 1, ParityMethod.UNIQUENESS_SHORTCUT)
 
     parities: set[int] = set()

@@ -9,6 +9,7 @@ single-line message ``ERROR:<kind>: ...``; usage errors exit with code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -268,6 +269,7 @@ _FLAGS = {
 }
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropiso",

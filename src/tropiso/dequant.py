@@ -32,8 +32,10 @@ from .assignment import (
     ParityReport,
     ParityVerdict,
     Permutation,
-    lex_optimal_permutation,
-    parity_report,
+    _lex_images,
+    _parity,
+    _scaled_grid,
+    _solve_grid,
     solve_optimal,
 )
 from .core import Entry, Semiring, TropMatrix, as_rational, require_square
@@ -72,12 +74,11 @@ def bar_matrix(A: TropMatrix) -> TropMatrix:
     return TropMatrix(Semiring.MAX, (zero_row,) + A.entries)
 
 
-def _column_submatrix(A: TropMatrix, cols: Sequence[int]) -> TropMatrix:
-    return TropMatrix(A.semiring, tuple(tuple(row[c] for c in cols) for row in A.entries))
-
-
-def _row_submatrix(A: TropMatrix, rows: Sequence[int]) -> TropMatrix:
-    return TropMatrix(A.semiring, tuple(A.entries[r] for r in rows))
+def _subsets(grid: list[list[Optional[int]]], k: int, rows: bool = False):
+    """Lazily yield (selection, sliced grid) for every k-subset of the
+    columns (or rows) of an integer grid, in lexicographic order."""
+    for sel in combinations(range(len(grid) if rows else len(grid[0])), k):
+        yield sel, [grid[i] for i in sel] if rows else [[row[j] for j in sel] for row in grid]
 
 
 @dataclass(frozen=True)
@@ -90,16 +91,17 @@ class QvolResult:
 
 
 def _qvol_brute(A: TropMatrix) -> tuple[Entry, Optional[tuple[int, ...]], Optional[Permutation]]:
-    best: Entry = None
-    witness: Optional[tuple[int, ...]] = None
-    for cols in combinations(range(A.cols), A.rows):
-        v, _ = solve_optimal(_column_submatrix(A, cols))
-        if v is not None and (best is None or v > best):
-            best, witness = v, cols
-    if witness is None:
+    """One solve per column subset of one scaled grid; the first least
+    (negated) total wins."""
+    grid, scale, sign = _scaled_grid(A)
+    best = witness = None
+    for cols, sub in _subsets(grid, A.rows):
+        sol = _solve_grid(sub, scale, sign)
+        if sol is not None and (best is None or sol.total < best.total):
+            best, witness = sol, cols
+    if best is None:
         return None, None, None
-    perm = lex_optimal_permutation(_column_submatrix(A, witness))
-    return best, witness, perm
+    return best.value(best.total), witness, Permutation(_lex_images(best))
 
 
 def _qvol_transport(A: TropMatrix) -> tuple[Entry, Optional[tuple[int, ...]], Optional[Permutation]]:
@@ -204,20 +206,19 @@ def sign_generic(A: TropMatrix, bar: bool = False, cap: int = DEFAULT_CAP) -> Pa
     SAME only if all submatrices pass; MIXED carries the offending selection
     (column subset, or row subset for tall matrices) and an opposite-parity
     pair of permutations; UNKNOWN when some enumeration hit the cap.
+
+    The matrix is scaled to integers once and its subsets are walked lazily
+    in lexicographic order, so a MIXED verdict stops the walk.  Each subset
+    is one Hungarian solve; a finite one whose tight digraph is acyclic has
+    a unique optimum and counts 1, the others enumerate their optima.
     """
     _require_max(A)
     M = bar_matrix(A) if bar else A
-    r, c = M.rows, M.cols
-    if r <= c:
-        selections = [(cols, _column_submatrix(M, cols))
-                      for cols in combinations(range(c), r)]
-    else:
-        selections = [(rows, _row_submatrix(M, rows))
-                      for rows in combinations(range(r), c)]
-    total = 0
-    capped = None
-    for sel, sub in selections:
-        rep = parity_report(sub, cap=cap)
+    grid, scale, sign = _scaled_grid(M)
+    total, capped = 0, None
+    for sel, sub in _subsets(grid, min(M.rows, M.cols), rows=M.rows > M.cols):
+        finite = all(None not in row for row in sub)
+        rep = _parity(_solve_grid(sub, scale, sign), finite, cap)
         total += rep.enumerated_count
         if rep.verdict is ParityVerdict.MIXED:
             return ParityReport(ParityVerdict.MIXED, total, rep.method,
@@ -418,19 +419,17 @@ def cauchy_binet_check(B: TropMatrix, C: TropMatrix, I: Sequence[int]) -> bool:
     from .core import trop_mat_mul
 
     A = trop_mat_mul(B, C)
-    lhs = tper(_column_submatrix(A, I))
+    lhs = tper(TropMatrix(Semiring.MAX, tuple(tuple(row[j] for j in I) for row in A.entries)))
+    gB, sB, sign = _scaled_grid(B)
+    gC, sC, _ = _scaled_grid(C)
+    CI = [[row[j] for j in I] for row in gC]
     rhs: Entry = None
-    for K in combinations(range(B.cols), d):
-        left = tper(_column_submatrix(B, K))
-        if left is None:
-            continue
-        mid = TropMatrix(
-            Semiring.MAX, tuple(tuple(C.entries[k][j] for j in I) for k in K)
-        )
-        right = tper(mid)
+    for K, sub in _subsets(gB, d):
+        left = _solve_grid(sub, sB, sign)
+        right = None if left is None else _solve_grid([CI[k] for k in K], sC, sign)
         if right is None:
             continue
-        cand = left + right
+        cand = left.value(left.total) + right.value(right.total)
         if rhs is None or cand > rhs:
             rhs = cand
     return lhs == rhs

@@ -4,7 +4,9 @@ Everything here is deliberately independent of the library's solver paths:
 assignment values come from full permutation enumeration, qvol from full
 column-subset enumeration, polytrope vertices from rational elimination over
 every square subsystem of the inequalities.  Rational entries are scaled to integers first,
-which keeps the enumeration exact and fast.
+which keeps the enumeration exact and fast.  The one exception is
+``brute_sign_generic``: it checks the scan around the public ``parity_report``
+(which ``TestParity`` checks against ``brute_optima``), not the report itself.
 """
 
 import math
@@ -12,7 +14,14 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from tropiso import Semiring, TropMatrix
+from tropiso import (
+    ParityMethod,
+    ParityReport,
+    ParityVerdict,
+    Semiring,
+    TropMatrix,
+    parity_report,
+)
 
 
 def scaled_grid(A: TropMatrix):
@@ -110,6 +119,36 @@ def brute_qvol_plus(A: TropMatrix):
         if v is not None and (best is None or v > best):
             best = v
     return best
+
+
+def brute_sign_generic(A: TropMatrix, bar: bool = False, cap: int = 10_000):
+    """The sign-genericity scan built eagerly from public pieces: every
+    maximal square submatrix (column subsets, or row subsets of a tall
+    matrix) is its own TropMatrix with its own ``parity_report``."""
+    M = A
+    if bar:
+        M = TropMatrix(A.semiring, (tuple(Fraction(0) for _ in range(A.cols)),) + A.entries)
+    if M.rows <= M.cols:
+        subs = [(cols, TropMatrix(M.semiring, tuple(tuple(row[c] for c in cols)
+                                                    for row in M.entries)))
+                for cols in combinations(range(M.cols), M.rows)]
+    else:
+        subs = [(rows, TropMatrix(M.semiring, tuple(M.entries[r] for r in rows)))
+                for rows in combinations(range(M.rows), M.cols)]
+    total = 0
+    capped = None
+    for sel, sub in subs:
+        rep = parity_report(sub, cap=cap)
+        total += rep.enumerated_count
+        if rep.verdict is ParityVerdict.MIXED:
+            return ParityReport(ParityVerdict.MIXED, total, rep.method,
+                                witness=rep.witness, selection=sel)
+        if rep.verdict is ParityVerdict.UNKNOWN and capped is None:
+            capped = sel
+    if capped is not None:
+        return ParityReport(ParityVerdict.UNKNOWN, total, ParityMethod.CAPPED,
+                            selection=capped)
+    return ParityReport(ParityVerdict.SAME, total, ParityMethod.FULL_ENUMERATION)
 
 
 def _solve_square(rows, rhs):

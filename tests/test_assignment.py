@@ -269,6 +269,46 @@ class TestParityReport:
             assert rep.verdict is expected
 
 
+class TestUniqueOptimum:
+    """The O(d^2) acyclicity test on the tight digraph decides uniqueness."""
+
+    def test_matches_cheapest_cycle_on_finite(self):
+        rng = random.Random(77)
+        seen = set()
+        for d in range(2, 8):
+            for _ in range(30):
+                sr = rng.choice([Semiring.MIN, Semiring.MAX])
+                A = random_finite(rng, d, d, sr, lo=0, hi=rng.choice([1, 2, 6]), den=1)
+                sol = assignment._solve(A)
+                unique = assignment._unique_optimum(sol)
+                assert unique == (assignment._cheapest_cycle(sol) > 0), A
+                seen.add(unique)
+        assert seen == {True, False}
+
+    def test_matches_brute_optima_with_bottom(self):
+        rng = random.Random(78)
+        seen = set()
+        for d in range(1, 7):
+            for _ in range(30):
+                A = random_with_bottom(rng, d, d, Semiring.MAX, p_bottom=0.3, lo=0, hi=2)
+                sol = assignment._solve(A)
+                if sol is None:
+                    assert brute_optima(A) == []
+                    continue
+                unique = assignment._unique_optimum(sol)
+                assert unique == (len(brute_optima(A)) == 1), A
+                seen.add(unique)
+        assert seen == {True, False}
+
+    def test_shortcut_label_only_on_finite_d2(self):
+        for A in _oracle_inputs(80, per_case=3):
+            rep = parity_report(A)
+            shortcut = A.is_finite and A.rows >= 2 and len(brute_optima(A)) == 1
+            assert (rep.method is ParityMethod.UNIQUENESS_SHORTCUT) == shortcut, A
+            if shortcut:
+                assert (rep.verdict, rep.enumerated_count) == (ParityVerdict.SAME, 1)
+
+
 def _oracle_inputs(seed: int, per_case: int = 6):
     """Generic rational, tied {0,1,2} and Bottom-holding matrices, d = 1..7."""
     rng = random.Random(seed)

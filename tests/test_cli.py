@@ -124,6 +124,22 @@ def test_sign_generic_verdict(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "mixed-parity"
 
 
+def test_parser_built_once_and_cap_not_carried_over(tmp_path, capsys, monkeypatch):
+    # the identity and one 3-cycle are the only optima: two even permutations
+    a = tmp_path / "a.json"
+    a.write_text('{"semiring": "max", "data": [[0, 0, -9], [-9, 0, 0], [0, -9, 0]]}')
+    assert build_parser() is build_parser()
+    monkeypatch.delenv("TROPISO_CAP", raising=False)
+    runs = [["--cap", "2"], [], ["--cap", "2"]]
+    verdicts = [json.loads(run_cli(["sign-generic", "--no-bar", *flags, str(a)], capsys)[1])
+                for flags in runs]
+    assert [(v["verdict"], v["enumerated"]) for v in verdicts] == \
+        [("unknown", 2), ("same-parity", 2), ("unknown", 2)]
+    monkeypatch.setenv("TROPISO_CAP", "1")
+    _, out, _ = run_cli(["sign-generic", "--no-bar", str(a)], capsys)
+    assert (json.loads(out)["verdict"], json.loads(out)["enumerated"]) == ("unknown", 1)
+
+
 def test_iso_sample_deterministic(capsys):
     code, out1, _ = run_cli(["iso-sample", "-d", "4", "--seed", "11"], capsys)
     assert code == 0

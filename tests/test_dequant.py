@@ -1,11 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import tropiso.assignment as assignment
 from conftest import (
+    brute_optima,
     brute_qvol_plus,
+    brute_sign_generic,
     brute_tper,
     random_finite,
     random_with_bottom,
@@ -16,6 +20,7 @@ from tropiso import (
     DomainError,
     LiftSpec,
     NotSignGenericError,
+    ParityMethod,
     ParityVerdict,
     Semiring,
     TropMatrix,
@@ -177,6 +182,109 @@ class TestSignGeneric:
         bar = bar_matrix(A)
         assert tvol(bar) == 0
         assert sign_generic(A, bar=True).verdict is ParityVerdict.SAME
+
+
+def _scan_inputs(seed: int, count: int):
+    """Generic rational, tied {0,1,2} and Bottom-holding max-plus matrices,
+    r <= 4 rows and c <= 7 columns, so both wide and tall bar matrices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, c = rng.randint(1, 4), rng.randint(1, 7)
+        yield random_finite(rng, r, c, MAX, lo=-4, hi=4, den=4)
+        yield random_finite(rng, r, c, MAX, lo=0, hi=2, den=1)
+        yield random_with_bottom(rng, r, c, MAX, p_bottom=0.25, lo=0, hi=2)
+
+
+class TestScanAgainstOracle:
+    """The one-grid scans against eager per-submatrix oracles."""
+
+    def test_sign_generic_report(self):
+        def fields(r):
+            witness = r.witness and tuple(p.images for p in r.witness)
+            return r.verdict, r.enumerated_count, r.method, witness, r.selection
+
+        seen = set()
+        for A in _scan_inputs(808, 100):
+            for bar in (False, True):
+                for cap in (1, 3, 10_000):
+                    rep = sign_generic(A, bar=bar, cap=cap)
+                    assert fields(rep) == fields(brute_sign_generic(A, bar, cap)), (A, bar, cap)
+                    seen.add((rep.verdict, A.rows + bar > A.cols))
+        assert len(seen) == 6  # every verdict, on wide and on tall inputs
+
+    def test_qvol_plus_brute_force(self):
+        for A in _scan_inputs(809, 80):
+            if A.cols < A.rows:
+                continue
+            res = qvol_plus(A, method="brute-force", cap=3)
+            assert res.value == brute_qvol_plus(A)
+            assert res.sign_generic_bar is brute_sign_generic(A, bar=True, cap=3).verdict
+            if res.value is None:
+                assert res.witness_columns is None and res.witness_perm is None
+                continue
+            subs = [(cols, TropMatrix(MAX, tuple(tuple(r[c] for c in cols) for r in A.entries)))
+                    for cols in combinations(range(A.cols), A.rows)]
+            cols, sub = next((cols, sub) for cols, sub in subs if brute_tper(sub) == res.value)
+            assert res.witness_columns == cols
+            assert res.witness_perm.images == brute_optima(sub)[0]
+
+
+def _count_solves(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    solve = assignment._hungarian_min
+
+    def counting(grid):
+        calls.append(len(grid))
+        return solve(grid)
+
+    monkeypatch.setattr(assignment, "_hungarian_min", counting)
+    return calls
+
+
+def _tied_6x18() -> TropMatrix:
+    """Columns 16 and 17 are equal, so the first subset of the bar matrix
+    holding both is MIXED; every earlier subset has a unique optimum."""
+    rng = random.Random(0)
+    return mk([[rng.randint(0, 10**6) for _ in range(16)] + [rng.randint(0, 2)] * 2
+               for _ in range(6)])
+
+
+class TestScanWork:
+    """The scans solve each subset once and stop at the first MIXED one."""
+
+    TIED = _tied_6x18()
+
+    def test_mixed_scan_stops_at_selection(self, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        rep = sign_generic(self.TIED, bar=True)
+        assert rep.verdict is ParityVerdict.MIXED
+        assert rep.selection == (0, 1, 2, 3, 4, 16, 17)
+        index = list(combinations(range(18), 7)).index(rep.selection)
+        assert index == 77
+        assert calls == [7] * (index + 1)
+
+    def test_mixed_scan_builds_no_submatrices(self, monkeypatch):
+        built = []
+        post_init = TropMatrix.__post_init__
+
+        def counting(self):
+            built.append(self.shape)
+            post_init(self)
+
+        monkeypatch.setattr(TropMatrix, "__post_init__", counting)
+        assert sign_generic(self.TIED, bar=True).verdict is ParityVerdict.MIXED
+        assert len(built) <= 1
+
+    def test_same_scan_solves_each_subset_once(self, monkeypatch):
+        A = random_finite(random.Random(1), 4, 8, MAX, lo=-50, hi=50, den=7)
+        calls = _count_solves(monkeypatch)
+        rep = sign_generic(A, bar=True)
+        assert (rep.verdict, rep.enumerated_count) == (ParityVerdict.SAME, 56)
+        assert rep.method is ParityMethod.FULL_ENUMERATION
+        assert calls == [5] * math.comb(8, 5)
+        calls.clear()
+        qvol_plus(A, compute_parity=False)
+        assert calls == [4] * math.comb(8, 4)
 
 
 class TestQvol:
@@ -407,6 +515,25 @@ class TestCauchyBinet:
             sub = TropMatrix(MAX, tuple(tuple(r[c] for c in cols) for r in A.entries))
             rhs = self._rhs(B, C, cols)
             assert brute_tper(sub) >= rhs
+
+    def test_verdict_matches_oracle(self):
+        from tropiso import trop_mat_mul
+
+        rng = random.Random(608)
+        verdicts = set()
+        for _ in range(150):
+            d = rng.randint(1, 3)
+            p = rng.randint(d, 5)
+            m = rng.randint(d, 5)
+            B = random_finite(rng, d, p, MAX, lo=-2, hi=2, den=rng.choice([1, 3]))
+            C = random_with_bottom(rng, p, m, MAX, p_bottom=0.2, lo=0, hi=2)
+            cols = sorted(rng.sample(range(m), d))
+            A = trop_mat_mul(B, C)
+            sub = TropMatrix(MAX, tuple(tuple(r[c] for c in cols) for r in A.entries))
+            expected = brute_tper(sub) == self._rhs(B, C, cols)
+            assert cauchy_binet_check(B, C, cols) is expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_mixed_parity_counterexample(self):
         # one dominant column of B feeds both rows, so the best
