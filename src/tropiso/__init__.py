@@ -89,6 +89,7 @@ from .polytrope import (
     Polytrope,
     build_polytrope,
     enumerate_vertices,
+    facet_incidence,
     facet_profile,
     genericity_check,
     irredundant_facets,

@@ -448,17 +448,10 @@ def _chk_d4_profile():
 
 
 def _chk_d4_hexagons():
-    P = polytrope.build_polytrope(_D4)
-    bound = {(i, j): b for i, j, b in P.hrep}
-    hexes = [f for f, n in P.facet_profile.items() if n == 6]
-
-    def fverts(f):
-        from .polytrope import _on_facet
-
-        return {pt for pt in P.vertices if _on_facet(pt, f, bound[f])}
-
+    on = polytrope.facet_incidence(polytrope.build_polytrope(_D4))
+    hexes = [f for f, vs in on.items() if len(vs) == 6]
     pairs = [(f, g) for a, f in enumerate(hexes) for g in hexes[a + 1:]
-             if len(fverts(f) & fverts(g)) >= 2]
+             if len(on[f] & on[g]) >= 2]
     return not pairs, f"3 hexagons, {len(pairs)} adjacent pairs"
 
 

@@ -7,9 +7,9 @@ polytope (a polytrope) whenever the Kleene star of B is finite.  This module
 computes the star, the irredundant facets, the exact vertex set, facet/vertex
 incidences, membership tests, and an SVG rendering of the planar case.
 
-All geometry is exact: vertices are found by walking the vertex graph,
-whose edges run along 0/1 vectors, on scaled integers, and every incidence
-test is an exact comparison.
+All geometry is exact and runs on integers scaled by a common denominator:
+the star check, the facets, the vertex walk along 0/1 edge vectors, and
+every incidence test, which is an exact integer comparison.
 """
 
 from __future__ import annotations
@@ -18,8 +18,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import eq, sub
 from typing import Optional, Sequence
 
+from .assignment import _scaled_grid
 from .core import Semiring, TropMatrix, as_vector, require_square
 from .errors import (
     DimensionError,
@@ -34,14 +37,14 @@ from .matio import format_scalar
 Facet = tuple[int, int]
 
 
-def _find_negative_cycle(B: TropMatrix) -> tuple[list[int], Fraction]:
+def _find_negative_cycle(grid: list, scale: int) -> tuple[list[int], Fraction]:
     """Locate one simple negative cycle via Bellman-Ford from a supersource.
 
-    Arcs run i -> j with weight b_ij for i != j; negative diagonal entries
-    are handled by the caller as one-node cycles.
+    Arcs of the unclosed integer grid run i -> j with weight g_ij for i != j;
+    negative diagonal entries are handled by the caller as one-node cycles.
     """
-    d = B.rows
-    dist = [Fraction(0)] * d
+    d = len(grid)
+    dist = [0] * d
     pred: list[Optional[int]] = [None] * d
     marked: Optional[int] = None
     for step in range(d):
@@ -50,7 +53,7 @@ def _find_negative_cycle(B: TropMatrix) -> tuple[list[int], Fraction]:
             for j in range(d):
                 if i == j:
                     continue
-                w = B.entries[i][j]
+                w = grid[i][j]
                 if w is None:
                     continue
                 if dist[i] + w < dist[j]:
@@ -72,10 +75,8 @@ def _find_negative_cycle(B: TropMatrix) -> tuple[list[int], Fraction]:
         cycle.append(cur)
         cur = pred[cur]
     cycle.reverse()
-    weight = sum(
-        B.entries[a][b] for a, b in zip(cycle, cycle[1:] + cycle[:1])
-    )
-    return cycle, weight
+    weight = sum(grid[a][b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    return cycle, Fraction(weight, scale)
 
 
 def _close(dist: list[list[Optional[int]]]) -> bool:
@@ -105,6 +106,28 @@ def _close(dist: list[list[Optional[int]]]) -> bool:
     return True
 
 
+def _closed_grid(B: TropMatrix) -> tuple[list[list[Optional[int]]], int]:
+    """(grid, scale): the Kleene star of B on the integer grid of B."""
+    require_square(B)
+    if B.semiring is not Semiring.MIN:
+        raise DomainError("kleene star is defined for min-plus matrices")
+    grid, scale, _ = _scaled_grid(B)
+    for i, row in enumerate(grid):
+        if row[i] is not None and row[i] < 0:
+            raise NegativeCycleError([i], Fraction(row[i], scale))
+        row[i] = 0
+    dist = [row[:] for row in grid]
+    if not _close(dist):
+        raise NegativeCycleError(*_find_negative_cycle(grid, scale))
+    return dist, scale
+
+
+def _grid_matrix(grid: list[list[Optional[int]]], scale: int) -> TropMatrix:
+    return TropMatrix(Semiring.MIN, tuple(
+        tuple(None if w is None else Fraction(w, scale) for w in row) for row in grid
+    ))
+
+
 def kleene_star(B: TropMatrix) -> TropMatrix:
     """All-pairs shortest-path closure with zeroed diagonal (Floyd-Warshall).
 
@@ -112,46 +135,55 @@ def kleene_star(B: TropMatrix) -> TropMatrix:
     negative cycle (a diagonal entry of the closure would become negative).
     The result S is idempotent: S (x) S = S.
     """
-    require_square(B)
-    if B.semiring is not Semiring.MIN:
-        raise DomainError("kleene star is defined for min-plus matrices")
-    d = B.rows
-    dens = {c.denominator for row in B.entries for c in row if c is not None}
-    scale = math.lcm(*dens) if dens else 1
-    dist: list[list[Optional[int]]] = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            c = B.entries[i][j]
-            w = None if c is None else c.numerator * (scale // c.denominator)
-            dist[i][j] = min(0, w) if i == j and w is not None else (0 if i == j else w)
-    for i in range(d):
-        if dist[i][i] < 0:
-            raise NegativeCycleError([i], Fraction(dist[i][i], scale))
-    if not _close(dist):
-        raise NegativeCycleError(*_find_negative_cycle(B))
-    ent = tuple(
-        tuple(None if w is None else Fraction(w, scale) for w in row)
-        for row in dist
-    )
-    return TropMatrix(Semiring.MIN, ent)
+    return _grid_matrix(*_closed_grid(B))
+
+
+def _padded(s: list) -> tuple[list[list[int]], list[list[int]]]:
+    """s with missing arcs as 2m and as 3m, m > every |s_ij|: both act as +infinity
+    (finite two-arc sums stay below 2m, 3m plus a finite entry stays above it)."""
+    m = 1 + max(abs(w) for row in s for w in row if w is not None)
+    return tuple([[big if w is None else w for w in row] for row in s]
+                 for big in (2 * m, 3 * m))
+
+
+def _facets(s: list[list[Optional[int]]]) -> Optional[list[Facet]]:
+    """Row-major facets of a zero-diagonal integer grid; None unless it is closed.
+
+    The grid is closed iff no s_ij - s_kj exceeds s_ik; the arc (i, j) is
+    a facet unless some k outside {i, j} ties, s_ik + s_kj = s_ij.
+    """
+    lo, hi = _padded(s)
+    cols = range(len(s))
+    out: list[Facet] = []
+    for i, (si, li) in enumerate(zip(s, lo)):
+        redundant = {i}
+        for k, (sik, hk) in enumerate(zip(si, hi)):
+            if k == i or sik is None:
+                continue
+            diff = list(map(sub, li, hk))
+            if max(diff) > sik:
+                return None
+            if diff.count(sik) > 1:
+                ties = compress(cols, map(eq, diff, repeat(sik)))
+                redundant.update(j for j in ties if j != k)
+        out.extend((i, j) for j, sij in enumerate(si)
+                   if sij is not None and j not in redundant)
+    return out
+
+
+def _star_facets(S: TropMatrix) -> Optional[list[Facet]]:
+    """Facets of S on its integer grid if S is a min-plus Kleene star, else None."""
+    if not S.is_square or S.semiring is not Semiring.MIN:
+        return None
+    s = _scaled_grid(S)[0]
+    if any(row[i] != 0 for i, row in enumerate(s)):
+        return None
+    return _facets(s)
 
 
 def is_kleene_star(S: TropMatrix) -> bool:
     """Zero diagonal and closed under the triangle inequality."""
-    if not S.is_square or S.semiring is not Semiring.MIN:
-        return False
-    d = S.rows
-    if any(S.entries[i][i] != 0 for i in range(d)):
-        return False
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                a, b, c = S.entries[i][j], S.entries[i][k], S.entries[k][j]
-                if b is None or c is None:
-                    continue
-                if a is None or a > b + c:
-                    return False
-    return True
+    return _star_facets(S) is not None
 
 
 def irredundant_facets(star: TropMatrix) -> list[Facet]:
@@ -160,26 +192,9 @@ def irredundant_facets(star: TropMatrix) -> list[Facet]:
     For a Kleene star S, the inequality (i, j) is irredundant exactly when
     ``s_ij < s_ik + s_kj`` for every third index k (strict, exact).
     """
-    if not is_kleene_star(star):
+    out = _star_facets(star)
+    if out is None:
         raise DomainError("input must be a Kleene star (zero diagonal, closed)")
-    d = star.rows
-    out: list[Facet] = []
-    for i in range(d):
-        for j in range(d):
-            if i == j or star.entries[i][j] is None:
-                continue
-            keep = True
-            for k in range(d):
-                if k in (i, j):
-                    continue
-                a, b = star.entries[i][k], star.entries[k][j]
-                if a is None or b is None:
-                    continue
-                if star.entries[i][j] >= a + b:
-                    keep = False
-                    break
-            if keep:
-                out.append((i, j))
     return out
 
 
@@ -199,43 +214,19 @@ def _connected(mask: int, adj: Sequence[int]) -> bool:
         reach = grown
 
 
-def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
-                       max_dim: int = 6) -> list[tuple[Fraction, ...]]:
-    """Exact vertex enumeration of the chart polytope from its inequalities.
-
-    Polytropes are alcoved polytopes, so every edge runs along a 0/1 vector
-    1_S modulo the all-ones line.  The bounds are scaled to integers, the
-    system is closed by Floyd-Warshall (an infeasible system has no
-    vertices), and the vertex graph is walked from the star columns, which
-    are vertices.  At a vertex x the tight arcs (x_i - x_j = s_ij) span a
-    connected graph; an edge leaves x along 1_S exactly when no tight arc
-    leaves S and the tight graph stays connected inside S and inside its
-    complement, and it ends at x + t 1_S, where t is the least slack over
-    the arcs leaving S.  The polyhedron
-    must be bounded, which for a Kleene-star system means every ordered pair
-    (i, j) contributes a finite inequality.  Vertices are returned sorted.
-    """
+def _require_bounded(hrep: Sequence, d: int, max_dim: int) -> None:
     if d > max_dim:
-        raise DomainError(
-            f"vertex enumeration guarded at dimension {max_dim} (got d={d})"
-        )
+        raise DomainError(f"vertex enumeration guarded at dimension {max_dim} (got d={d})")
     pairs = {(i, j) for i, j, _ in hrep}
     for i in range(d):
         for j in range(d):
             if i != j and (i, j) not in pairs:
-                raise UnboundedPolytopeError(
-                    f"difference x_{i} - x_{j} is unbounded above"
-                )
-    scale = math.lcm(*(b.denominator for _, _, b in hrep))
-    s: list[list[Optional[int]]] = [
-        [0 if i == j else None for j in range(d)] for i in range(d)
-    ]
-    for i, j, b in hrep:
-        w = b.numerator * (scale // b.denominator)
-        if s[i][j] is None or w < s[i][j]:
-            s[i][j] = w
-    if not _close(s):
-        return []
+                raise UnboundedPolytopeError(f"difference x_{i} - x_{j} is unbounded above")
+
+
+def _walk(s: list[list[int]]) -> list[tuple[int, ...]]:
+    """Sorted vertices (x_0 = 0 leading) of a closed, bounded integer system."""
+    d = len(s)
     full = (1 << d) - 1
     seen = {tuple(s[i][k] - s[0][k] for i in range(d)) for k in range(d)}
     queue = list(seen)
@@ -262,7 +253,37 @@ def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-    return [tuple(Fraction(v, scale) for v in x[1:]) for x in sorted(seen)]
+    return sorted(seen)
+
+
+def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
+                       max_dim: int = 6) -> list[tuple[Fraction, ...]]:
+    """Exact vertex enumeration of the chart polytope from its inequalities.
+
+    Polytropes are alcoved polytopes, so every edge runs along a 0/1 vector
+    1_S modulo the all-ones line.  The bounds are scaled to integers, the
+    system is closed by Floyd-Warshall (an infeasible system has no
+    vertices), and the vertex graph is walked from the star columns, which
+    are vertices.  At a vertex x the tight arcs (x_i - x_j = s_ij) span a
+    connected graph; an edge leaves x along 1_S exactly when no tight arc
+    leaves S and the tight graph stays connected inside S and inside its
+    complement, and it ends at x + t 1_S, where t is the least slack over
+    the arcs leaving S.  The polyhedron
+    must be bounded, which for a Kleene-star system means every ordered pair
+    (i, j) contributes a finite inequality.  Vertices are returned sorted.
+    """
+    _require_bounded(hrep, d, max_dim)
+    scale = math.lcm(*(b.denominator for _, _, b in hrep))
+    s: list[list[Optional[int]]] = [
+        [0 if i == j else None for j in range(d)] for i in range(d)
+    ]
+    for i, j, b in hrep:
+        w = b.numerator * (scale // b.denominator)
+        if s[i][j] is None or w < s[i][j]:
+            s[i][j] = w
+    if not _close(s):
+        return []
+    return [tuple(Fraction(v, scale) for v in x[1:]) for x in _walk(s)]
 
 
 @dataclass(frozen=True)
@@ -281,39 +302,48 @@ class Polytrope:
         return self.star.rows
 
 
-def _on_facet(pt: tuple[Fraction, ...], facet: Facet, bound: Fraction) -> bool:
-    i, j = facet
-    xi = pt[i - 1] if i > 0 else Fraction(0)
-    xj = pt[j - 1] if j > 0 else Fraction(0)
-    return xi - xj == bound
+def _incidence(bounds: dict, points: Sequence) -> dict[Facet, frozenset[int]]:
+    """Indices of the integer points x (x_0 = 0 leading) with x_i - x_j = b_ij."""
+    return {(i, j): frozenset(v for v, x in enumerate(points) if x[i] - x[j] == b)
+            for (i, j), b in bounds.items()}
 
 
-def _profile(hrep, irredundant, vertices) -> dict[Facet, int]:
+def _grid_points(P: Polytrope) -> tuple[list[tuple[int, int, int]], list[tuple]]:
+    """P.hrep and P.vertices (x_0 = 0 prepended) scaled to one integer grid."""
+    scale = math.lcm(*{c.denominator for pt in P.vertices for c in pt},
+                     *{b.denominator for _, _, b in P.hrep})
+
+    def up(c: Fraction) -> int:
+        return c.numerator * (scale // c.denominator)
+
+    return ([(i, j, up(b)) for i, j, b in P.hrep],
+            [(0, *map(up, pt)) for pt in P.vertices])
+
+
+def facet_incidence(P: Polytrope) -> dict[Facet, frozenset[int]]:
+    """Indices into ``P.vertices`` of the vertices on each irredundant facet."""
+    hrep, points = _grid_points(P)
     bound = {(i, j): b for i, j, b in hrep}
-    return {
-        f: sum(1 for pt in vertices if _on_facet(pt, f, bound[f]))
-        for f in irredundant
-    }
+    return _incidence({f: bound[f] for f in P.irredundant}, points)
 
 
-def facet_profile(P: "Polytrope") -> dict[Facet, int]:
+def facet_profile(P: Polytrope) -> dict[Facet, int]:
     """Number of vertices incident to each irredundant facet (exact)."""
-    return _profile(P.hrep, P.irredundant, P.vertices)
+    return {f: len(on) for f, on in facet_incidence(P).items()}
 
 
 def build_polytrope(B: TropMatrix, max_dim: int = 6) -> Polytrope:
-    """Assemble star, H-representation, facets, vertices and incidences."""
-    star = kleene_star(B)
-    d = star.rows
-    hrep = tuple(
-        (i, j, star.entries[i][j])
-        for i in range(d)
-        for j in range(d)
-        if i != j and star.entries[i][j] is not None
-    )
-    irr = tuple(irredundant_facets(star))
-    verts = tuple(enumerate_vertices(hrep, d, max_dim=max_dim))
-    return Polytrope(B, star, hrep, irr, verts, _profile(hrep, irr, verts))
+    """Star, H-representation, facets, vertices and incidences from one closed grid."""
+    s, scale = _closed_grid(B)
+    star = _grid_matrix(s, scale)
+    hrep = tuple((i, j, b) for i, row in enumerate(star.entries)
+                 for j, b in enumerate(row) if i != j and b is not None)
+    irr = tuple(_facets(s))
+    _require_bounded(hrep, len(s), max_dim)
+    walk = _walk(s)
+    on = _incidence({(i, j): s[i][j] for i, j in irr}, walk)
+    verts = tuple(tuple(Fraction(v, scale) for v in x[1:]) for x in walk)
+    return Polytrope(B, star, hrep, irr, verts, {f: len(v) for f, v in on.items()})
 
 
 def genericity_check(P: Polytrope) -> bool:
@@ -324,12 +354,9 @@ def genericity_check(P: Polytrope) -> bool:
     no facet; this is what detects the boundary members of the isodiametric
     family, whose polygons lose vertices to coincidences.
     """
-    want = P.dim - 1
-    for pt in P.vertices:
-        tight = sum(1 for i, j, b in P.hrep if _on_facet(pt, (i, j), b))
-        if tight != want:
-            return False
-    return True
+    hrep, points = _grid_points(P)
+    return all(sum(1 for i, j, b in hrep if x[i] - x[j] == b) == P.dim - 1
+               for x in points)
 
 
 def project_to_cone(M: TropMatrix, x: Sequence) -> tuple[Fraction, ...]:

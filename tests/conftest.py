@@ -3,8 +3,10 @@
 Everything here is deliberately independent of the library's solver paths:
 assignment values come from full permutation enumeration, qvol from full
 column-subset enumeration, polytrope vertices from rational elimination over
-every square subsystem of the inequalities.  Rational entries are scaled to integers first,
-which keeps the enumeration exact and fast.  The one exception is
+every square subsystem of the inequalities.  Rational entries are scaled to
+integers first, which keeps the enumeration exact and fast.  Kleene-star
+checks, facets and incidences stay on ``Fraction`` entries, the arithmetic the
+library no longer uses for them.  The one exception is
 ``brute_sign_generic``: it checks the scan around the public ``parity_report``
 (which ``TestParity`` checks against ``brute_optima``), not the report itself.
 """
@@ -193,6 +195,52 @@ def brute_vertices(hrep, d):
         ):
             found.add(pt)
     return sorted(found)
+
+
+def brute_is_kleene_star(S: TropMatrix) -> bool:
+    """Zero diagonal and every triangle s_ij <= s_ik + s_kj, in Fractions."""
+    if not S.is_square or S.semiring is not Semiring.MIN:
+        return False
+    d, e = S.rows, S.entries
+    if any(e[i][i] != 0 for i in range(d)):
+        return False
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if e[i][k] is not None and e[k][j] is not None and (
+                        e[i][j] is None or e[i][j] > e[i][k] + e[k][j]):
+                    return False
+    return True
+
+
+def brute_irredundant_facets(star: TropMatrix):
+    """Row-major (i, j) with s_ij < s_ik + s_kj for every third k, in Fractions."""
+    d, e = star.rows, star.entries
+    return [
+        (i, j) for i in range(d) for j in range(d)
+        if i != j and e[i][j] is not None and all(
+            e[i][k] is None or e[k][j] is None or e[i][j] < e[i][k] + e[k][j]
+            for k in range(d) if k not in (i, j))
+    ]
+
+
+def _point(pt):
+    return (Fraction(0),) + tuple(pt)
+
+
+def brute_facet_profile(P):
+    """Vertices on each irredundant facet, counted in Fractions, in facet order."""
+    bound = {(i, j): b for i, j, b in P.hrep}
+    return {(i, j): sum(1 for pt in P.vertices if _point(pt)[i] - _point(pt)[j] == bound[i, j])
+            for i, j in P.irredundant}
+
+
+def brute_genericity_check(P) -> bool:
+    """Every vertex tight on exactly d-1 rows of the full H-representation."""
+    return all(
+        sum(1 for i, j, b in P.hrep if _point(pt)[i] - _point(pt)[j] == b) == P.dim - 1
+        for pt in P.vertices
+    )
 
 
 def random_finite(rng: random.Random, rows: int, cols: int, semiring: Semiring,

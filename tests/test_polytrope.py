@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import D4_MATRIX, brute_vertices, family3, random_finite
+from conftest import (
+    D4_MATRIX,
+    brute_facet_profile,
+    brute_genericity_check,
+    brute_irredundant_facets,
+    brute_is_kleene_star,
+    brute_vertices,
+    family3,
+    random_finite,
+)
 from tropiso import (
     DomainError,
     NegativeCycleError,
@@ -13,6 +22,8 @@ from tropiso import (
     UnboundedPolytopeError,
     build_polytrope,
     enumerate_vertices,
+    facet_incidence,
+    facet_profile,
     genericity_check,
     irredundant_facets,
     kleene_star,
@@ -23,7 +34,10 @@ from tropiso import (
     tconv_membership,
     trop_mat_mul,
 )
+from tropiso import polytrope
 from tropiso.polytrope import is_kleene_star, nonredundant_generator_mask
+
+MIN = Semiring.MIN
 
 
 class TestKleeneStar:
@@ -43,6 +57,19 @@ class TestKleeneStar:
             kleene_star(B)
         assert err.value.weight == -1
         assert sorted(err.value.cycle) == [0, 1]
+
+    def test_negative_cycle_pinned(self):
+        # two negative cycles, 0->1->2->0 (weight -1/3) and 1->2->3->1;
+        # Bellman-Ford from the supersource reports the second
+        B = TropMatrix.from_rows(
+            [[0, "1/2", "inf", "7/3"], ["inf", 0, "-2/3", "5/4"],
+             ["-1/6", "inf", 0, "-3/4"], ["inf", "-1/5", "inf", 0]], MIN)
+        with pytest.raises(NegativeCycleError) as err:
+            kleene_star(B)
+        assert err.value.cycle == (1, 2, 3)
+        assert err.value.weight == Fraction(-97, 60)
+        assert isinstance(err.value.weight, Fraction)
+        assert str(err.value) == "negative cycle 1->2->3->1 of weight -97/60"
 
     def test_negative_diagonal_is_self_loop(self):
         B = TropMatrix.from_rows([[-1, 0], [0, 0]], Semiring.MIN)
@@ -341,3 +368,125 @@ class TestGenerators:
         assert len(report["vertices"]) == 6
         assert report["simple"] is True
         assert all(isinstance(v, str) for pt in report["vertices"] for v in pt)
+
+
+def _star_cases(d, seed):
+    """Kleene stars and near misses on one rational grid per matrix.
+
+    Random min-plus matrices with denominators 1-6, Bottom arcs (half of
+    them with a node no arc enters), negative arcs and a random diagonal.
+    Each star comes with a copy whose diagonal is nonzero and, for d >= 3,
+    copies with one triangle violated by a raised or a missing entry.
+    """
+    rng = random.Random(seed)
+    for _ in range(12):
+        den = rng.randint(1, 6)
+        rows = [[None if i != j and rng.random() < 0.2
+                 else Fraction(rng.randint(-den, -1) if rng.random() < 0.5 / d
+                               else rng.randint(0, 6 * den), den)
+                 for j in range(d)] for i in range(d)]
+        t = rng.randrange(2 * d)
+        for i in range(d):  # no arc into node t: its column stays Bottom
+            if i != t < d:
+                rows[i][t] = None
+        B = TropMatrix(MIN, tuple(map(tuple, rows)))
+        yield B
+        try:
+            S = kleene_star(B)
+        except NegativeCycleError:
+            continue
+        yield S
+        e = [list(r) for r in S.entries]
+        i = rng.randrange(d)
+        e[i][i] = Fraction(rng.choice([-1, 1]), den)
+        yield TropMatrix(MIN, tuple(map(tuple, e)))
+        paths = [(i, k, j) for i in range(d) for k in range(d) for j in range(d)
+                 if len({i, k, j}) == 3 and None not in (S.entries[i][k], S.entries[k][j])]
+        if paths:
+            i, k, j = rng.choice(paths)
+            for bad in (S.entries[i][k] + S.entries[k][j] + Fraction(1, den), None):
+                e = [list(r) for r in S.entries]
+                e[i][j] = bad
+                yield TropMatrix(MIN, tuple(map(tuple, e)))
+
+
+def _build_cases():
+    rng = random.Random(90)
+    cases = [D4_MATRIX, family3(0), family3(2), family3(Fraction(1, 2))]
+    for d in (2, 3, 4, 5):
+        for den in (1, 1, 3, 6):
+            cases.append(random_finite(rng, d, d, MIN, lo=0, hi=3, den=den))
+    return cases
+
+
+class TestIntegerGrid:
+    """Star check, facets and incidences on integers against Fraction oracles."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_star_check_and_facets(self, d):
+        cases = list(_star_cases(d, seed=500 + d))
+        verdicts = [brute_is_kleene_star(S) for S in cases]
+        assert True in verdicts and False in verdicts
+        for S, star in zip(cases, verdicts):
+            assert is_kleene_star(S) is star
+            if star:
+                assert irredundant_facets(S) == brute_irredundant_facets(S)
+            else:
+                with pytest.raises(DomainError):
+                    irredundant_facets(S)
+
+    def test_non_square_and_max_plus(self):
+        assert not is_kleene_star(TropMatrix.from_rows([[0, 1, 2], [1, 0, 1]], MIN))
+        S = TropMatrix.from_rows([[0, 1], [1, 0]], Semiring.MAX)
+        assert brute_is_kleene_star(S) is is_kleene_star(S) is False
+        with pytest.raises(DomainError):
+            irredundant_facets(S)
+
+    def test_large_star(self):
+        S = kleene_star(random_finite(random.Random(48), 48, 48, MIN, lo=1, hi=60, den=6))
+        assert is_kleene_star(S) and brute_is_kleene_star(S)
+        assert irredundant_facets(S) == brute_irredundant_facets(S)
+
+    @pytest.mark.parametrize("B", _build_cases())
+    def test_builds(self, B):
+        P = build_polytrope(B)
+        assert list(P.irredundant) == brute_irredundant_facets(P.star)
+        want = brute_facet_profile(P)
+        assert list(P.facet_profile.items()) == list(want.items())
+        assert list(facet_profile(P).items()) == list(want.items())
+        assert genericity_check(P) is brute_genericity_check(P)
+        bound = {(i, j): b for i, j, b in P.hrep}
+        x = [(Fraction(0),) + pt for pt in P.vertices]
+        for (i, j), on in facet_incidence(P).items():
+            assert on == {v for v, p in enumerate(x) if p[i] - p[j] == bound[i, j]}
+
+    def test_builds_cover_degenerate_and_simple(self):
+        verdicts = {genericity_check(build_polytrope(B)) for B in _build_cases()}
+        assert verdicts == {True, False}
+
+
+def _count_closes(monkeypatch):
+    calls = []
+    close = polytrope._close
+
+    def counting(dist):
+        calls.append(len(dist))
+        return close(dist)
+
+    monkeypatch.setattr(polytrope, "_close", counting)
+    return calls
+
+
+class TestBuildWork:
+    """A build closes one integer grid; the public enumerator closes its own."""
+
+    def test_build_closes_once(self, monkeypatch):
+        calls = _count_closes(monkeypatch)
+        P = build_polytrope(D4_MATRIX)
+        assert calls == [4]
+        calls.clear()
+        assert enumerate_vertices(P.hrep, P.dim) == list(P.vertices)
+        assert calls == [4]
+        calls.clear()
+        assert kleene_star(D4_MATRIX) == P.star
+        assert calls == [4]
