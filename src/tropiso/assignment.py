@@ -13,7 +13,8 @@ excluded arcs (forbidden assignment cells).
 Every quantity reads one solve and its duals u, v: a permutation costs the
 optimum plus its reduced costs g_ij - u_i - v_j >= 0, so the optima are the
 perfect matchings on tight (zero) cells and the second best adds the cheapest
-reduced-cost cycle (Burkard, Dell'Amico & Martello, *Assignment Problems*).
+reduced-cost cycle, found by a Dijkstra search from each row that stops at
+the best cycle so far (Burkard, Dell'Amico & Martello, *Assignment Problems*).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Optional
 
 from .core import Entry, Semiring, TropMatrix, require_finite, require_square
@@ -186,22 +188,35 @@ def _cheapest_cycle(sol: _Solution) -> int:
     Any other permutation is the optimum with disjoint cycles swapped in,
     and costs the optimum plus their reduced costs, all >= 0.  So the
     runner-up swaps in one cheapest cycle of the digraph on rows with arcs
-    i -> k of weight r[i][images[k]], k != i: one Floyd-Warshall pass.
-    Exact integers throughout; the diagonal starts at one more than the sum
-    of all arc weights, which no simple cycle reaches.
+    i -> k of weight r[i][images[k]], k != i.  Each cycle is found from its
+    smallest row s: Dijkstra from s over the rows > s closes a cycle at each
+    settled row x by the arc x -> s, and stops once the popped distance plus
+    the cheapest arc into s reaches the best cycle so far, which starts at
+    the cheapest 2-cycle (Orlin & Sedeno-Noda, 2017).  Exact integers only.
     """
     g, u, v, img = sol.grid, sol.u, sol.v, sol.images
     d = len(img)
-    dist = [[g[i][img[k]] - u[i] - v[img[k]] for k in range(d)] for i in range(d)]
-    unreached = 1 + sum(map(sum, dist))  # the diagonal of dist is 0 here
-    for i in range(d):
-        dist[i][i] = unreached
-    for k in range(d):
-        dk = dist[k]
-        for i in range(d):
-            dik = dist[i][k]
-            dist[i] = [a if a <= dik + b else dik + b for a, b in zip(dist[i], dk)]
-    return min(dist[i][i] for i in range(d))
+    r = [[row[j] - ui - v[j] for j in img] for row, ui in zip(g, u)]
+    best = min(r[i][k] + r[k][i] for i in range(d) for k in range(i + 1, d))
+    for s in range(d - 2):  # a cycle whose smallest row is d-2 is a 2-cycle
+        if best == 0:
+            break
+        into = min(r[x][s] for x in range(s + 1, d))
+        heap, done = [(0, s)], [False] * d
+        while heap:
+            dx, x = heappop(heap)
+            if dx + into >= best:
+                break
+            if done[x]:
+                continue
+            done[x] = True
+            if x != s:
+                best = min(best, dx + r[x][s])
+            rx, lim = r[x], best - into - dx
+            for y in range(s + 1, d):
+                if rx[y] < lim and not done[y]:
+                    heappush(heap, (dx + rx[y], y))
+    return best
 
 
 def _unique_optimum(sol: _Solution) -> bool:
@@ -355,15 +370,16 @@ def _finite_solve(A: TropMatrix, what: str) -> _Solution:
 def second_best(A: TropMatrix) -> Fraction:
     """Best assignment value over all permutations other than the optimum.
 
-    The optimum plus the cheapest reduced-cost cycle of one solve; with
-    multiple optima that cycle costs 0 and this equals the optimal value.
+    The optimum plus the cheapest reduced-cost cycle of one solve, found by
+    the cut-off Dijkstra search of ``_cheapest_cycle``; with multiple optima
+    that cycle costs 0 and this equals the optimal value.
     """
     sol = _finite_solve(A, "second-best value")
     return sol.value(sol.total + _cheapest_cycle(sol))
 
 
 def tvol(A: TropMatrix) -> Fraction:
-    """Tropical volume: |tdet - second best|.
+    """Tropical volume |tdet - second best|: the cheapest reduced-cost cycle.
 
     Zero exactly when at least two distinct optimal permutations exist
     (tropical singularity); invariant under transposition, row/column

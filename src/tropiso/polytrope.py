@@ -214,18 +214,17 @@ def _connected(mask: int, adj: Sequence[int]) -> bool:
         reach = grown
 
 
-def _require_bounded(hrep: Sequence, d: int, max_dim: int) -> None:
+def _require_dim(d: int, max_dim: int) -> None:
     if d > max_dim:
         raise DomainError(f"vertex enumeration guarded at dimension {max_dim} (got d={d})")
-    pairs = {(i, j) for i, j, _ in hrep}
-    for i in range(d):
-        for j in range(d):
-            if i != j and (i, j) not in pairs:
-                raise UnboundedPolytopeError(f"difference x_{i} - x_{j} is unbounded above")
 
 
-def _walk(s: list[list[int]]) -> list[tuple[int, ...]]:
-    """Sorted vertices (x_0 = 0 leading) of a closed, bounded integer system."""
+def _walk(s: list[list[Optional[int]]]) -> list[tuple[int, ...]]:
+    """Sorted vertices (x_0 = 0 leading) of a closed integer system, if bounded."""
+    for i, row in enumerate(s):
+        if None in row:
+            j = row.index(None)
+            raise UnboundedPolytopeError(f"difference x_{i} - x_{j} is unbounded above")
     d = len(s)
     full = (1 << d) - 1
     seen = {tuple(s[i][k] - s[0][k] for i in range(d)) for k in range(d)}
@@ -268,11 +267,10 @@ def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
     connected graph; an edge leaves x along 1_S exactly when no tight arc
     leaves S and the tight graph stays connected inside S and inside its
     complement, and it ends at x + t 1_S, where t is the least slack over
-    the arcs leaving S.  The polyhedron
-    must be bounded, which for a Kleene-star system means every ordered pair
-    (i, j) contributes a finite inequality.  Vertices are returned sorted.
+    the arcs leaving S.  The polyhedron must be bounded: every ordered pair
+    (i, j) is bounded once the system is closed.  Vertices come out sorted.
     """
-    _require_bounded(hrep, d, max_dim)
+    _require_dim(d, max_dim)
     scale = math.lcm(*(b.denominator for _, _, b in hrep))
     s: list[list[Optional[int]]] = [
         [0 if i == j else None for j in range(d)] for i in range(d)
@@ -339,7 +337,7 @@ def build_polytrope(B: TropMatrix, max_dim: int = 6) -> Polytrope:
     hrep = tuple((i, j, b) for i, row in enumerate(star.entries)
                  for j, b in enumerate(row) if i != j and b is not None)
     irr = tuple(_facets(s))
-    _require_bounded(hrep, len(s), max_dim)
+    _require_dim(len(s), max_dim)
     walk = _walk(s)
     on = _incidence({(i, j): s[i][j] for i, j in irr}, walk)
     verts = tuple(tuple(Fraction(v, scale) for v in x[1:]) for x in walk)

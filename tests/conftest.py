@@ -6,9 +6,11 @@ column-subset enumeration, polytrope vertices from rational elimination over
 every square subsystem of the inequalities.  Rational entries are scaled to
 integers first, which keeps the enumeration exact and fast.  Kleene-star
 checks, facets and incidences stay on ``Fraction`` entries, the arithmetic the
-library no longer uses for them.  The one exception is
-``brute_sign_generic``: it checks the scan around the public ``parity_report``
-(which ``TestParity`` checks against ``brute_optima``), not the report itself.
+library no longer uses for them.  Two oracles lean on library pieces:
+``brute_sign_generic`` checks the scan around the public ``parity_report``
+(which ``TestParityReport`` checks against ``brute_optima``), not the report
+itself, and ``brute_cheapest_cycle`` reads one solve's duals (which
+``TestOneSolveAgainstOracles`` certifies) and closes them by all-pairs paths.
 """
 
 import math
@@ -68,6 +70,27 @@ def brute_assignment_values(A: TropMatrix):
 def brute_tvol(A: TropMatrix) -> Fraction:
     best, second = brute_assignment_values(A)
     return abs(best - second)
+
+
+def brute_cheapest_cycle(sol) -> int:
+    """Cheapest cycle of the reduced-cost digraph of one solve (rows, arcs
+    i -> k != i of weight r[i][images[k]]), by one Floyd-Warshall pass.
+
+    The diagonal starts at one more than the sum of all arc weights, which
+    no simple cycle reaches; exact integers throughout.
+    """
+    g, u, v, img = sol.grid, sol.u, sol.v, sol.images
+    d = len(img)
+    dist = [[g[i][img[k]] - u[i] - v[img[k]] for k in range(d)] for i in range(d)]
+    unreached = 1 + sum(map(sum, dist))  # the diagonal of dist is 0 here
+    for i in range(d):
+        dist[i][i] = unreached
+    for k in range(d):
+        dk = dist[k]
+        for i in range(d):
+            dik = dist[i][k]
+            dist[i] = [a if a <= dik + b else dik + b for a, b in zip(dist[i], dk)]
+    return min(dist[i][i] for i in range(d))
 
 
 def brute_optima(A: TropMatrix):

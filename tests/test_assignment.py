@@ -6,6 +6,7 @@ import pytest
 import tropiso.assignment as assignment
 from conftest import (
     brute_assignment_values,
+    brute_cheapest_cycle,
     brute_optima,
     brute_tvol,
     family3,
@@ -307,6 +308,83 @@ class TestUniqueOptimum:
             assert (rep.method is ParityMethod.UNIQUENESS_SHORTCUT) == shortcut, A
             if shortcut:
                 assert (rep.verdict, rep.enumerated_count) == (ParityVerdict.SAME, 1)
+
+
+def _costs(d: int, cheap, dear, arcs) -> list[list]:
+    """Min-plus costs: 0 on the diagonal, ``cheap`` on ``arcs``, ``dear`` elsewhere."""
+    rows = [[0 if i == j else dear for j in range(d)] for i in range(d)]
+    for i, j in arcs:
+        rows[i][j] = cheap
+    return rows
+
+
+def _both_semirings(rows: list[list]) -> list[TropMatrix]:
+    """The min-plus matrix and its negation in max-plus: the same cycles."""
+    return [TropMatrix.from_rows(rows, Semiring.MIN),
+            TropMatrix.from_rows([[-c for c in row] for row in rows], Semiring.MAX)]
+
+
+class TestCheapestCycle:
+    """The cut-off Dijkstra search against the Floyd-Warshall oracle."""
+
+    @staticmethod
+    def _check(A: TropMatrix) -> int:
+        sol = assignment._solve(A)
+        gap = assignment._cheapest_cycle(sol)
+        assert gap == brute_cheapest_cycle(sol), A
+        return gap
+
+    def test_random_finite_d2_to_40(self):
+        rng = random.Random(2017)
+        zero = positive = 0
+        for d in range(2, 41):
+            for sr in (Semiring.MIN, Semiring.MAX):
+                den = rng.randint(1, 6)
+                for A in (random_finite(rng, d, d, sr, lo=-9, hi=9, den=den),
+                          random_finite(rng, d, d, sr, lo=0, hi=2, den=1),
+                          random_finite(rng, d, d, sr, lo=0, hi=10**6, den=1)):
+                    gap = self._check(A)
+                    zero += gap == 0
+                    positive += gap > 0
+        assert zero and positive
+
+    @pytest.mark.parametrize("semiring", [Semiring.MAX, Semiring.MIN])
+    def test_entries_beyond_float_range(self, semiring):
+        rng = random.Random(401)
+        for d in range(2, 13):
+            rows = [[rng.randrange(10**401) if rng.random() < 0.8 else rng.randint(0, 3)
+                     for _ in range(d)] for _ in range(d)]
+            assert self._check(TropMatrix.from_rows(rows, semiring)) > 0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 17, 40])
+    def test_one_cheap_hamiltonian_cycle(self, d):
+        """Only the ring 0 -> 1 -> ... -> d-1 -> 0 is cheap, so the search
+        from row 0 has to follow all of it."""
+        ring = [(i, (i + 1) % d) for i in range(d)]
+        for A in _both_semirings(_costs(d, 1, 10**6, ring)):
+            assert self._check(A) == d == tvol(A)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 16, 40])
+    def test_all_off_optimum_costs_equal(self, d):
+        """Every k-cycle costs 7k: the start value is already the answer, and
+        each search stops on a tie with it."""
+        for A in _both_semirings(_costs(d, 7, 7, [])):
+            assert self._check(A) == 14
+
+    @pytest.mark.parametrize("d", [3, 4, 9, 40])
+    @pytest.mark.parametrize("cheap", [0, 1])
+    def test_cycle_among_last_three_rows(self, d, cheap):
+        """The only cheap cycle is d-3 -> d-2 -> d-1 -> d-3, found from s = d-3."""
+        last = [(d - 3, d - 2), (d - 2, d - 1), (d - 1, d - 3)]
+        for A in _both_semirings(_costs(d, cheap, 10**6, last)):
+            assert self._check(A) == 3 * cheap
+
+    def test_dimensions_two_and_three(self):
+        for rows, gap in (([[0, 5], [2, 0]], 7), ([[0, 0], [0, 0]], 0),
+                          ([[0, 1, 9], [9, 0, 1], [1, 9, 0]], 3),
+                          ([[0, 1, 2], [1, 0, 2], [5, 5, 0]], 2)):
+            for A in _both_semirings(rows):
+                assert self._check(A) == gap
 
 
 def _oracle_inputs(seed: int, per_case: int = 6):

@@ -172,6 +172,17 @@ class TestVertices:
         with pytest.raises(UnboundedPolytopeError):
             enumerate_vertices(hrep, 2)
 
+    def test_bound_implied_by_a_path(self):
+        """x_0 - x_2 has no inequality of its own, but x_0 - x_1 - x_2 bounds it."""
+        hrep = [(i, j, Fraction(1)) for i, j in ((0, 1), (1, 2), (2, 0), (1, 0), (2, 1))]
+        completed = hrep + [(0, 2, Fraction(2))]
+        assert enumerate_vertices(hrep, 3) == enumerate_vertices(completed, 3)
+        assert enumerate_vertices(hrep, 3) == brute_vertices(completed, 3)
+        assert len(enumerate_vertices(hrep, 3)) == 5
+
+    def test_infeasible_before_unbounded(self):
+        assert enumerate_vertices([(0, 1, Fraction(-1)), (1, 0, Fraction(0))], 3) == []
+
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
             enumerate_vertices([], 7)
