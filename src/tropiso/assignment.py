@@ -15,6 +15,9 @@ optimum plus its reduced costs g_ij - u_i - v_j >= 0, so the optima are the
 perfect matchings on tight (zero) cells and the second best adds the cheapest
 reduced-cost cycle, found by a Dijkstra search from each row that stops at
 the best cycle so far (Burkard, Dell'Amico & Martello, *Assignment Problems*).
+One lazy walk over the tight matchings, which never enters a prefix that
+cannot be completed, yields the optima in lex order: its first is the
+lex-smallest optimum, and enumeration and parity read it as far as they need.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Callable, NamedTuple, Optional
+from itertools import islice
+from typing import Iterator, NamedTuple, Optional
 
 from .core import Entry, Semiring, TropMatrix, require_finite, require_square
 from .errors import DimensionError, DomainError
@@ -264,21 +268,36 @@ def _reroute(tight, match, owner, i: int, c: int) -> bool:
     return False
 
 
-def _lex_images(sol: _Solution) -> tuple[int, ...]:
-    """Lexicographically smallest optimum: a row-by-row greedy on the tight graph.
+def _optima(sol: Optional[_Solution]) -> Iterator[tuple[int, ...]]:
+    """Lazily yield the images of every optimum, in lexicographic order.
 
     The optima are exactly the perfect matchings on zero reduced-cost cells.
+    The walk keeps one such matching that extends the current prefix; row i
+    takes tight column c only if c is its column there or ``_reroute`` frees
+    c through the rows > i.  So every branch reaches an optimum and the
+    first one yielded is the lex-smallest (Fukuda & Matsui 1994; Uno 1997).
     """
+    if sol is None:
+        return
     tight = sol.tight_columns()
+    d = len(tight)
     match = list(sol.images)
-    owner = [0] * len(match)
+    owner = [0] * d
     for i, j in enumerate(match):
         owner[j] = i
-    for i in range(len(match)):
-        for c in tight[i]:
+    stack = [iter(tight[0])]  # the untried tight columns of each prefix row
+    while stack:
+        i = len(stack) - 1
+        for c in stack[i]:
             if c == match[i] or (owner[c] > i and _reroute(tight, match, owner, i, c)):
                 break
-    return tuple(match)
+        else:
+            stack.pop()
+            continue
+        if i + 1 < d:
+            stack.append(iter(tight[i + 1]))
+        else:
+            yield tuple(match)
 
 
 def solve_optimal(A: TropMatrix) -> tuple[Entry, Optional[Permutation]]:
@@ -301,62 +320,25 @@ def tdet(A: TropMatrix) -> tuple[Entry, Optional[Permutation]]:
 def lex_optimal_permutation(A: TropMatrix) -> Optional[Permutation]:
     """Lexicographically smallest permutation attaining the tropical determinant.
 
-    Greedy on the tight graph of one solve: each row keeps its smallest
-    zero reduced-cost column that still extends to a perfect matching.
+    The first optimum of the tight-graph walk of one solve: each row keeps
+    its smallest zero reduced-cost column that still extends to a perfect
+    matching.
     """
     sol = _solve(A)
-    return None if sol is None else Permutation(_lex_images(sol))
-
-
-def _visit_optima(sol: Optional[_Solution], visit: Callable[[tuple[int, ...]], bool]) -> bool:
-    """Depth-first walk over all optimal permutations in lexicographic order.
-
-    The optima are exactly the perfect matchings on zero reduced-cost cells,
-    so every complete tight branch is one.  ``visit`` gets each image tuple
-    and returns False to stop early.  Returns True iff the enumeration ran
-    to completion.
-    """
-    if sol is None:
-        return True
-    tight = sol.tight_columns()
-    d = len(tight)
-    stopped = False
-
-    def rec(i: int, mask: int, images: list[int]) -> None:
-        nonlocal stopped
-        if i == d:
-            if not visit(tuple(images)):
-                stopped = True
-            return
-        for c in tight[i]:
-            if mask >> c & 1:
-                continue
-            images.append(c)
-            rec(i + 1, mask | (1 << c), images)
-            images.pop()
-            if stopped:
-                return
-
-    rec(0, 0, [])
-    return not stopped
+    return None if sol is None else Permutation(next(_optima(sol)))
 
 
 def enumerate_optima(A: TropMatrix, cap: int = DEFAULT_CAP) -> tuple[list[Permutation], bool]:
     """All permutations attaining the tropical determinant, in lex order.
 
     Returns (permutations, truncated); at most ``cap`` permutations are
-    collected and ``truncated`` is True when the cap cut the enumeration off.
+    collected, and ``truncated`` is True whenever ``cap`` of them were, even
+    when no further optimum exists.
     """
     if cap < 1:
         raise DomainError("cap must be positive")
-    found: list[Permutation] = []
-
-    def visit(images: tuple[int, ...]) -> bool:
-        found.append(Permutation(images))
-        return len(found) < cap
-
-    completed = _visit_optima(_solve(A), visit)
-    return found, not completed
+    found = [Permutation(images) for images in islice(_optima(_solve(A)), cap)]
+    return found, len(found) == cap
 
 
 def _finite_solve(A: TropMatrix, what: str) -> _Solution:
@@ -401,10 +383,12 @@ class AssignmentCertificate:
 
 
 def certificate(A: TropMatrix) -> AssignmentCertificate:
+    """Best value, lex-smallest optimum, second best value, tropical volume and
+    uniqueness of a finite square matrix (d >= 2), all from one solve."""
     sol = _finite_solve(A, "certificate")
     gap = _cheapest_cycle(sol)
     return AssignmentCertificate(
-        sol.value(sol.total), Permutation(_lex_images(sol)),
+        sol.value(sol.total), Permutation(next(_optima(sol))),
         sol.value(sol.total + gap), Fraction(gap, sol.scale), gap > 0,
     )
 
@@ -425,7 +409,8 @@ class ParityMethod(Enum):
 class ParityReport:
     """Do all optimal permutations share one parity?
 
-    ``verdict`` is UNKNOWN only when enumeration was cut off by the cap.
+    ``verdict`` is UNKNOWN when ``cap`` optima of one parity were enumerated,
+    even if no further optimum exists.
     ``witness`` carries an opposite-parity pair on a MIXED verdict;
     ``selection`` names the submatrix (column or row subset) a verdict came
     from when the report was produced by a sign-genericity scan.
@@ -442,8 +427,9 @@ def parity_report(A: TropMatrix, cap: int = DEFAULT_CAP) -> ParityReport:
     """Parity analysis of the optimal permutations of a square matrix.
 
     A finite matrix (d >= 2) whose tight digraph is acyclic has a unique
-    optimum and short-circuits to SAME; otherwise the optima are enumerated
-    (up to ``cap``), stopping as soon as both parities have been seen.
+    optimum and short-circuits to SAME; otherwise the optima are enumerated,
+    stopping as soon as both parities have been seen (MIXED) or ``cap`` optima
+    of one parity have been (UNKNOWN, whether or not more remain).
     """
     require_square(A)
     return _parity(_solve(A), A.is_finite, cap)
@@ -456,26 +442,16 @@ def _parity(sol: Optional[_Solution], finite: bool, cap: int) -> ParityReport:
     if finite and len(sol.images) >= 2 and _unique_optimum(sol):
         return ParityReport(ParityVerdict.SAME, 1, ParityMethod.UNIQUENESS_SHORTCUT)
 
-    parities: set[int] = set()
     first: dict[int, Permutation] = {}
     count = 0
-
-    def visit(images: tuple[int, ...]) -> bool:
-        nonlocal count
-        count += 1
+    for count, images in enumerate(_optima(sol), 1):
         p = Permutation(images)
         first.setdefault(p.parity, p)
-        parities.add(p.parity)
-        if len(parities) == 2:
-            return False
-        return count < cap
-
-    completed = _visit_optima(sol, visit)
-    if len(parities) == 2:
-        return ParityReport(
-            ParityVerdict.MIXED, count, ParityMethod.FULL_ENUMERATION,
-            witness=(first[1], first[-1]),
-        )
-    if completed:
-        return ParityReport(ParityVerdict.SAME, count, ParityMethod.FULL_ENUMERATION)
-    return ParityReport(ParityVerdict.UNKNOWN, count, ParityMethod.CAPPED)
+        if len(first) == 2:
+            return ParityReport(
+                ParityVerdict.MIXED, count, ParityMethod.FULL_ENUMERATION,
+                witness=(first[1], first[-1]),
+            )
+        if count == cap:
+            return ParityReport(ParityVerdict.UNKNOWN, count, ParityMethod.CAPPED)
+    return ParityReport(ParityVerdict.SAME, count, ParityMethod.FULL_ENUMERATION)

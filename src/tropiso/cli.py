@@ -183,7 +183,7 @@ def _cmd_qvol(args) -> int:
         if args.require_generic:
             parts.append(_scalar(dequant.qvol(A, method=args.method, cap=cap)) + "\n")
             continue
-        res = dequant.qvol_plus(A, method=args.method, cap=cap)
+        res = dequant.qvol_plus(A, method=args.method, cap=cap, compute_parity=args.json)
         if args.json:
             parts.append(_jdump({
                 "value": _scalar(res.value),

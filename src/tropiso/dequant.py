@@ -32,7 +32,7 @@ from .assignment import (
     ParityReport,
     ParityVerdict,
     Permutation,
-    _lex_images,
+    _optima,
     _parity,
     _scaled_grid,
     _solve_grid,
@@ -101,7 +101,7 @@ def _qvol_brute(A: TropMatrix) -> tuple[Entry, Optional[tuple[int, ...]], Option
             best, witness = sol, cols
     if best is None:
         return None, None, None
-    return best.value(best.total), witness, Permutation(_lex_images(best))
+    return best.value(best.total), witness, Permutation(next(_optima(best)))
 
 
 def _qvol_transport(A: TropMatrix) -> tuple[Entry, Optional[tuple[int, ...]], Optional[Permutation]]:

@@ -6,11 +6,15 @@ column-subset enumeration, polytrope vertices from rational elimination over
 every square subsystem of the inequalities.  Rational entries are scaled to
 integers first, which keeps the enumeration exact and fast.  Kleene-star
 checks, facets and incidences stay on ``Fraction`` entries, the arithmetic the
-library no longer uses for them.  Two oracles lean on library pieces:
+library no longer uses for them.  Three oracles lean on library pieces:
 ``brute_sign_generic`` checks the scan around the public ``parity_report``
 (which ``TestParityReport`` checks against ``brute_optima``), not the report
-itself, and ``brute_cheapest_cycle`` reads one solve's duals (which
-``TestOneSolveAgainstOracles`` certifies) and closes them by all-pairs paths.
+itself; ``brute_cheapest_cycle`` reads one solve's duals (which
+``TestOneSolveAgainstOracles`` certifies) and closes them by all-pairs paths;
+and ``dfs_optima``, the optima walk the library used before it pruned dead
+ends, reads the same solve's tight columns and tries every unused one at each
+row, so it is the reference for the library's walk at d >= 8, where
+``brute_optima`` is too slow.
 """
 
 import math
@@ -114,6 +118,39 @@ def brute_optima(A: TropMatrix):
         return []
     best = min(t for t, _ in scored)
     return [p for t, p in scored if t == best]
+
+
+def dfs_optima(sol, visit) -> bool:
+    """Depth-first walk over the optima of one solve in lexicographic order.
+
+    Every unused tight (zero reduced-cost) column is tried at each row, so
+    partial assignments that cannot be completed are explored too.  ``visit``
+    gets each image tuple and returns False to stop early.  Returns True iff
+    the walk ran to completion; a None solve has no optima.
+    """
+    if sol is None:
+        return True
+    tight = sol.tight_columns()
+    d = len(tight)
+    stopped = False
+
+    def rec(i: int, mask: int, images: list) -> None:
+        nonlocal stopped
+        if i == d:
+            if not visit(tuple(images)):
+                stopped = True
+            return
+        for c in tight[i]:
+            if mask >> c & 1:
+                continue
+            images.append(c)
+            rec(i + 1, mask | (1 << c), images)
+            images.pop()
+            if stopped:
+                return
+
+    rec(0, 0, [])
+    return not stopped
 
 
 def brute_tper(A: TropMatrix):

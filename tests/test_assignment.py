@@ -9,6 +9,7 @@ from conftest import (
     brute_cheapest_cycle,
     brute_optima,
     brute_tvol,
+    dfs_optima,
     family3,
     random_finite,
     random_with_bottom,
@@ -18,6 +19,7 @@ from conftest import (
 from tropiso import (
     DomainError,
     ParityMethod,
+    ParityReport,
     ParityVerdict,
     Permutation,
     Semiring,
@@ -30,6 +32,10 @@ from tropiso import (
     tdet,
     tvol,
 )
+
+
+# the identity and the 3-cycle (1, 2, 0) are the only optima: both even
+TWO_EVEN_OPTIMA = TropMatrix.from_rows([[0, 0, -9], [-9, 0, 0], [0, -9, 0]], Semiring.MAX)
 
 
 class TestPermutation:
@@ -103,6 +109,16 @@ class TestEnumerateOptima:
         A = TropMatrix.from_rows([[0] * 4] * 4, Semiring.MAX)
         perms, truncated = enumerate_optima(A, cap=5)
         assert len(perms) == 5 and truncated
+
+    def test_cap_reached_reads_truncated(self):
+        # truncated means "cap optima were collected", even when none remain
+        zero = TropMatrix.from_rows([[0] * 3] * 3, Semiring.MAX)
+        perms, truncated = enumerate_optima(zero, cap=6)
+        assert len(perms) == 6 and truncated
+        perms, truncated = enumerate_optima(unit_matrix(3, Semiring.MAX), cap=1)
+        assert [p.images for p in perms] == [(0, 1, 2)] and truncated
+        assert enumerate_optima(TWO_EVEN_OPTIMA, cap=2)[1]
+        assert not enumerate_optima(TWO_EVEN_OPTIMA, cap=3)[1]
 
     def test_matches_brute_force(self):
         rng = random.Random(13)
@@ -250,6 +266,18 @@ class TestParityReport:
         # with cap=1 the walk stops before seeing a second parity
         assert rep.verdict is ParityVerdict.UNKNOWN
         assert rep.method is ParityMethod.CAPPED
+
+    def test_cap_reached_reads_unknown(self):
+        # UNKNOWN means "cap optima of one parity were enumerated", even when
+        # none remain; the shortcut settles a unique finite optimum first
+        assert parity_report(TWO_EVEN_OPTIMA, cap=2) == \
+            ParityReport(ParityVerdict.UNKNOWN, 2, ParityMethod.CAPPED)
+        assert parity_report(TWO_EVEN_OPTIMA, cap=3) == \
+            ParityReport(ParityVerdict.SAME, 2, ParityMethod.FULL_ENUMERATION)
+        one = TropMatrix.from_rows([[0, "-inf"], ["-inf", 0]], Semiring.MAX)
+        assert parity_report(one, cap=1) == \
+            ParityReport(ParityVerdict.UNKNOWN, 1, ParityMethod.CAPPED)
+        assert parity_report(unit_matrix(3, Semiring.MAX), cap=1).verdict is ParityVerdict.SAME
 
     def test_bottom_matrix_enumeration(self):
         A = TropMatrix.from_rows([[0, "-inf"], ["-inf", 0]], Semiring.MAX)
@@ -455,6 +483,88 @@ class TestOneSolveAgainstOracles:
                                  Semiring.MAX)
         assert lex_optimal_permutation(A) is None
         assert enumerate_optima(A) == ([], False)
+
+
+def _dfs_enumerate(sol, cap):
+    """``enumerate_optima`` as it was built on the callback DFS."""
+    found = []
+
+    def visit(images):
+        found.append(images)
+        return len(found) < cap
+
+    return found, not dfs_optima(sol, visit)
+
+
+def _dfs_parity(sol, finite, cap):
+    """``parity_report`` as it was built on the callback DFS; the uniqueness
+    shortcut fires exactly when a finite d >= 2 matrix has one optimum."""
+    if finite and len(sol.images) >= 2 and len(_dfs_enumerate(sol, 2)[0]) == 1:
+        return ParityReport(ParityVerdict.SAME, 1, ParityMethod.UNIQUENESS_SHORTCUT)
+    first, count = {}, 0
+
+    def visit(images):
+        nonlocal count
+        count += 1
+        p = Permutation(images)
+        first.setdefault(p.parity, p)
+        return len(first) < 2 and count < cap
+
+    completed = dfs_optima(sol, visit)
+    if len(first) == 2:
+        return ParityReport(ParityVerdict.MIXED, count, ParityMethod.FULL_ENUMERATION,
+                            witness=(first[1], first[-1]))
+    if completed:
+        return ParityReport(ParityVerdict.SAME, count, ParityMethod.FULL_ENUMERATION)
+    return ParityReport(ParityVerdict.UNKNOWN, count, ParityMethod.CAPPED)
+
+
+class TestOptimaWalk:
+    """The pruned lazy walk against the callback DFS it replaced."""
+
+    @staticmethod
+    def _inputs(seed: int, per_case: int = 6):
+        """Tied {0,1,2}, Bottom-holding and generic rational matrices, d = 1..10."""
+        rng = random.Random(seed)
+        for d in range(1, 11):
+            for sr in (Semiring.MIN, Semiring.MAX):
+                for _ in range(per_case):
+                    yield random_finite(rng, d, d, sr, lo=0, hi=2, den=1)
+                    yield random_with_bottom(rng, d, d, sr, p_bottom=0.25, lo=0, hi=2)
+                    yield random_finite(rng, d, d, sr, lo=-3, hi=3, den=6)
+
+    def test_matches_dfs_oracle(self):
+        kinds = set()
+        for A in self._inputs(111):
+            sol = assignment._solve(A)
+            seq = []
+            assert dfs_optima(sol, lambda images: seq.append(images) or True)
+            assert list(assignment._optima(sol)) == seq, A
+            kinds.add(min(len(seq), 3))
+            for cap in (1, 3, 10_000):
+                perms, truncated = enumerate_optima(A, cap)
+                assert ([p.images for p in perms], truncated) == _dfs_enumerate(sol, cap)
+                assert parity_report(A, cap) == _dfs_parity(sol, A.is_finite, cap), (A, cap)
+            lex = lex_optimal_permutation(A)
+            assert (lex.images if lex else None) == (seq[0] if seq else None)
+            if A.rows >= 2 and A.is_finite:
+                assert certificate(A).best_perm.images == seq[0]
+        assert kinds == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    def test_no_dead_ends_on_blocks(self, k, monkeypatch):
+        # rows < k are all 0; rows >= k are 0 on the first k columns, -1 after:
+        # (k!)^2 optima, and a row < k can never take a column < k
+        d = 2 * k
+        A = TropMatrix.from_rows([[0] * d] * k + [[0] * k + [-1] * k] * k, Semiring.MAX)
+        calls = []
+        reroute = assignment._reroute
+        monkeypatch.setattr(assignment, "_reroute",
+                            lambda *args: calls.append(1) or reroute(*args))
+        rep = parity_report(A)
+        assert (rep.verdict, rep.enumerated_count) == (ParityVerdict.MIXED, 2)
+        assert len(calls) <= d * d
+        assert rep.witness[0].images == tuple(range(k, d)) + tuple(range(k))
 
 
 def test_each_quantity_solves_once(monkeypatch):

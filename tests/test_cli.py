@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import D4_MATRIX, family3, unit_matrix
-from tropiso import Semiring, save_matrix
+from tropiso import Semiring, dequant, save_matrix
 from tropiso.cli import build_parser, main
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
@@ -114,6 +114,19 @@ def test_qvol_methods_agree(tmp_path, capsys):
     _, out1, _ = run_cli(["qvol", str(a)], capsys)
     _, out2, _ = run_cli(["qvol", "--method", "transport-lp", str(a)], capsys)
     assert out1 == out2 == "2\n"
+
+
+@pytest.mark.parametrize("flags, scans", [([], 0), (["--json"], 2)])
+def test_qvol_scans_the_bar_matrix_only_for_json(flags, scans, capsys, monkeypatch):
+    # the bare value never reads the verdict, so only --json pays for the scan
+    calls = []
+    scan = dequant.sign_generic
+    monkeypatch.setattr(dequant, "sign_generic", lambda *a, **k: calls.append(1) or scan(*a, **k))
+    inputs = [str(DEMO_DATA / "wide_A.json"), str(DEMO_DATA / "wide_B.json")]
+    for method in ("brute-force", "transport-lp"):
+        calls.clear()
+        code, _, _ = run_cli(["qvol", "--method", method, *flags, *inputs], capsys)
+        assert code == 0 and len(calls) == scans
 
 
 def test_sign_generic_verdict(tmp_path, capsys):
