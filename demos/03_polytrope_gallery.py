@@ -25,7 +25,8 @@ from tropiso import (
     tconv_membership,
 )
 
-OUT = Path(__file__).resolve().parent / "output"
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "demos" / "output"
 OUT.mkdir(exist_ok=True)
 
 
@@ -44,7 +45,7 @@ for lam in (0, Fraction(1, 2), 1, Fraction(3, 2), 2):
     (OUT / f"family_{tag}.svg").write_text(render_svg(P))
     print(f"lambda={str(lam):4s}: {len(P.irredundant)} facets, "
           f"{len(P.vertices)} vertices, simple={genericity_check(P)}")
-print(f"(SVG gallery written to {OUT})")
+print(f"(SVG gallery written to {OUT.relative_to(ROOT)})")
 
 print("\n== membership in the tropical span ==")
 B = family(1)
@@ -67,4 +68,4 @@ print(f"{len(P4.irredundant)} facets with vertex counts {profile}")
 print(f"{len(P4.vertices)} vertices, simple polytope: {genericity_check(P4)}")
 report_path = OUT / "d4_report.json"
 report_path.write_text(json.dumps(polytrope_report(P4), indent=2, sort_keys=True))
-print("full report written to", report_path)
+print("full report written to", report_path.relative_to(ROOT))

@@ -322,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None, help="output SVG path (default stdout)")
 
     p = add("qvol", _cmd_qvol, "upper dequantized tropical volume",
-            "semiring", "output", "cap", nargs="+")
+            "semiring", "output", nargs="+")
+    p.add_argument("--cap", type=int, help="enumeration cap (or env TROPISO_CAP); it acts "
+                   "only with --json or --require-generic")
     p.add_argument("--method", choices=[dequant.BRUTE_FORCE, dequant.TRANSPORT_LP],
                    default=dequant.BRUTE_FORCE)
     p.add_argument("--require-generic", action="store_true",

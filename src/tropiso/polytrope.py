@@ -8,15 +8,16 @@ computes the star, the irredundant facets, the exact vertex set, facet/vertex
 incidences, membership tests, and an SVG rendering of the planar case.
 
 All geometry is exact and runs on integers scaled by a common denominator:
-the star check, the facets, the vertex walk along 0/1 edge vectors, and
-every incidence test, which is an exact integer comparison.
+the star check, the facets and the vertex walk along 0/1 edge vectors.  The
+walk records which inequalities are tight at each vertex, and facet
+incidences and simplicity are read off those records.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import eq, sub
@@ -219,8 +220,9 @@ def _require_dim(d: int, max_dim: int) -> None:
         raise DomainError(f"vertex enumeration guarded at dimension {max_dim} (got d={d})")
 
 
-def _walk(s: list[list[Optional[int]]]) -> list[tuple[int, ...]]:
-    """Sorted vertices (x_0 = 0 leading) of a closed integer system, if bounded."""
+def _walk(s: list[list[Optional[int]]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Sorted vertices (x_0 = 0 leading) of a closed integer system, if bounded,
+    each with its tight masks: row i has bit j iff x_i - x_j = s_ij."""
     for i, row in enumerate(s):
         if None in row:
             j = row.index(None)
@@ -229,12 +231,14 @@ def _walk(s: list[list[Optional[int]]]) -> list[tuple[int, ...]]:
     full = (1 << d) - 1
     seen = {tuple(s[i][k] - s[0][k] for i in range(d)) for k in range(d)}
     queue = list(seen)
+    tight = {}
     while queue:
         x = queue.pop()
         out = [
             sum(1 << j for j in range(d) if j != i and x[i] - x[j] == s[i][j])
             for i in range(d)
         ]
+        tight[x] = tuple(out)
         adj = [
             out[i] | sum(1 << j for j in range(d) if out[j] >> i & 1)
             for i in range(d)
@@ -252,7 +256,7 @@ def _walk(s: list[list[Optional[int]]]) -> list[tuple[int, ...]]:
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-    return sorted(seen)
+    return sorted(tight.items())
 
 
 def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
@@ -281,7 +285,7 @@ def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
             s[i][j] = w
     if not _close(s):
         return []
-    return [tuple(Fraction(v, scale) for v in x[1:]) for x in _walk(s)]
+    return [tuple(Fraction(v, scale) for v in x[1:]) for x, _ in _walk(s)]
 
 
 @dataclass(frozen=True)
@@ -294,35 +298,19 @@ class Polytrope:
     irredundant: tuple[Facet, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
     facet_profile: dict[Facet, int]
+    # the walk's masks: tight[v][i] has bit j iff vertex v lies on x_i - x_j = s_ij
+    tight: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.star.rows
 
 
-def _incidence(bounds: dict, points: Sequence) -> dict[Facet, frozenset[int]]:
-    """Indices of the integer points x (x_0 = 0 leading) with x_i - x_j = b_ij."""
-    return {(i, j): frozenset(v for v, x in enumerate(points) if x[i] - x[j] == b)
-            for (i, j), b in bounds.items()}
-
-
-def _grid_points(P: Polytrope) -> tuple[list[tuple[int, int, int]], list[tuple]]:
-    """P.hrep and P.vertices (x_0 = 0 prepended) scaled to one integer grid."""
-    scale = math.lcm(*{c.denominator for pt in P.vertices for c in pt},
-                     *{b.denominator for _, _, b in P.hrep})
-
-    def up(c: Fraction) -> int:
-        return c.numerator * (scale // c.denominator)
-
-    return ([(i, j, up(b)) for i, j, b in P.hrep],
-            [(0, *map(up, pt)) for pt in P.vertices])
-
-
 def facet_incidence(P: Polytrope) -> dict[Facet, frozenset[int]]:
-    """Indices into ``P.vertices`` of the vertices on each irredundant facet."""
-    hrep, points = _grid_points(P)
-    bound = {(i, j): b for i, j, b in hrep}
-    return _incidence({f: bound[f] for f in P.irredundant}, points)
+    """Indices into ``P.vertices`` of the vertices on each irredundant facet,
+    read off the tight masks of the vertex walk."""
+    return {(i, j): frozenset(v for v, rows in enumerate(P.tight) if rows[i] >> j & 1)
+            for i, j in P.irredundant}
 
 
 def facet_profile(P: Polytrope) -> dict[Facet, int]:
@@ -339,22 +327,23 @@ def build_polytrope(B: TropMatrix, max_dim: int = 6) -> Polytrope:
     irr = tuple(_facets(s))
     _require_dim(len(s), max_dim)
     walk = _walk(s)
-    on = _incidence({(i, j): s[i][j] for i, j in irr}, walk)
-    verts = tuple(tuple(Fraction(v, scale) for v in x[1:]) for x in walk)
-    return Polytrope(B, star, hrep, irr, verts, {f: len(v) for f, v in on.items()})
+    verts = tuple(tuple(Fraction(v, scale) for v in x[1:]) for x, _ in walk)
+    tight = tuple(rows for _, rows in walk)
+    profile = {(i, j): sum(rows[i] >> j & 1 for rows in tight) for i, j in irr}
+    return Polytrope(B, star, hrep, irr, verts, profile, tight)
 
 
 def genericity_check(P: Polytrope) -> bool:
     """True iff every vertex is tight on exactly d-1 of the inequalities.
 
-    Tightness is counted over the full H-representation, so a redundant
-    inequality touching a vertex flags a degeneracy even though it defines
-    no facet; this is what detects the boundary members of the isodiametric
-    family, whose polygons lose vertices to coincidences.
+    Tightness is counted over the full H-representation (every off-diagonal
+    pair, as the polytrope is bounded) by the bits of the walk's tight
+    masks, so a redundant inequality touching a vertex flags a degeneracy
+    even though it defines no facet; this is what detects the boundary
+    members of the isodiametric family, whose polygons lose vertices to
+    coincidences.
     """
-    hrep, points = _grid_points(P)
-    return all(sum(1 for i, j, b in hrep if x[i] - x[j] == b) == P.dim - 1
-               for x in points)
+    return all(sum(map(int.bit_count, rows)) == P.dim - 1 for rows in P.tight)
 
 
 def project_to_cone(M: TropMatrix, x: Sequence) -> tuple[Fraction, ...]:

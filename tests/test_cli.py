@@ -129,6 +129,15 @@ def test_qvol_scans_the_bar_matrix_only_for_json(flags, scans, capsys, monkeypat
         assert code == 0 and len(calls) == scans
 
 
+def test_qvol_help_says_where_cap_acts(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["qvol", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--cap CAP enumeration cap (or env TROPISO_CAP); it acts only with --json "
+            "or --require-generic") in text
+
+
 def test_sign_generic_verdict(tmp_path, capsys):
     a = tmp_path / "a.json"
     a.write_text('{"semiring": "max", "data": [[0, 0], [0, 0]]}')

@@ -1,7 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     D4_MATRIX,
@@ -27,6 +30,7 @@ from tropiso import (
     sample_isodiametric,
     tdiam,
     to_standard,
+    translate,
     tvol,
 )
 
@@ -258,3 +262,79 @@ class TestRoundTripLaw:
             lhs = rep.all_conditions_hold
             rhs = tdiam(M) == 2 and brute_tvol(M) == 2
             assert lhs == rhs, f"equivalence failed for {M}"
+
+
+@st.composite
+def square_matrices(draw):
+    """Finite d x d matrices, d=2-7, both semirings, entries in [-10, 10] on 1/den."""
+    d = draw(st.integers(2, 7))
+    sr = draw(st.sampled_from([Semiring.MIN, Semiring.MAX]))
+    den = draw(st.integers(1, 16))
+    cells = draw(st.lists(st.integers(-10 * den, 10 * den), min_size=d * d, max_size=d * d))
+    return TropMatrix(sr, tuple(tuple(Fraction(c, den) for c in cells[i * d:(i + 1) * d])
+                                for i in range(d)))
+
+
+def _scaled(A, k):
+    return TropMatrix(A.semiring, tuple(tuple(c * k for c in row) for row in A.entries))
+
+
+def _moved(rng, A):
+    """A under random row and column permutations and translations."""
+    d = A.rows
+    rows, cols = rng.sample(range(d), d), rng.sample(range(d), d)
+
+    def offsets():
+        return tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(d))
+
+    return translate(A.permute(row_perm=tuple(rows), col_perm=tuple(cols)),
+                     offsets(), offsets())
+
+
+def _conditions_hold(A):
+    """Do (i)-(iv) hold on the standard form of A * 2/tdiam(A)?"""
+    variant = StandardVariant.MAX if A.semiring is Semiring.MAX else StandardVariant.MIN
+    S = to_standard(_scaled(A, 2 / tdiam(A)), variant).matrix
+    return check_conditions(S, variant).all_conditions_hold
+
+
+@functools.cache
+def _equality_cases():
+    """120 sampled isodiametric matrices, d=3-7, half of them max-plus (via
+    negate_complement), each scaled by a positive rational and moved."""
+    rng = random.Random(1611)
+    cases = []
+    for n in range(120):
+        d = 3 + n % 5
+        B = sample_isodiametric(d, rng.randrange(10 ** 6), require_strict=n % 4 < 2)
+        if n % 2:
+            B = negate_complement(B)
+        k = Fraction(rng.randint(1, 20), rng.randint(1, 7))
+        cases.append(_moved(rng, _scaled(B, k)))
+    return cases
+
+
+class TestIsodiametricInequality:
+    """tvol(A) <= tdiam(A), with equality exactly on the isodiametric class."""
+
+    @given(square_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_inequality(self, A):
+        assert tvol(A) <= tdiam(A)
+
+    def test_equality_cases(self):
+        for A in _equality_cases():
+            assert tvol(A) == tdiam(A) > 0, A
+            assert _conditions_hold(A), A
+
+    def test_one_entry_near_misses(self):
+        rng = random.Random(4148)
+        for A in _equality_cases():
+            d = A.rows
+            for _ in range(3):
+                e = [list(row) for row in A.entries]
+                i, j = rng.randrange(d), rng.randrange(d)
+                e[i][j] += Fraction(rng.choice((-1, 1)) * rng.randint(1, 8), rng.randint(1, 16))
+                M = TropMatrix(A.semiring, tuple(map(tuple, e)))
+                assert tvol(M) <= tdiam(M)
+                assert (tvol(M) == tdiam(M)) is _conditions_hold(M), M

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -421,12 +422,18 @@ def _star_cases(d, seed):
                 yield TropMatrix(MIN, tuple(map(tuple, e)))
 
 
+def _all_ones(d):
+    """Off-diagonal ones: every vertex is degenerate (2^d - 2 vertices)."""
+    return TropMatrix.from_rows([[int(i != j) for j in range(d)] for i in range(d)], MIN)
+
+
 def _build_cases():
     rng = random.Random(90)
     cases = [D4_MATRIX, family3(0), family3(2), family3(Fraction(1, 2))]
     for d in (2, 3, 4, 5):
         for den in (1, 1, 3, 6):
             cases.append(random_finite(rng, d, d, MIN, lo=0, hi=3, den=den))
+    cases += [_all_ones(5), _all_ones(6), sample_isodiametric(6, 0)]
     return cases
 
 
@@ -475,6 +482,14 @@ class TestIntegerGrid:
         verdicts = {genericity_check(build_polytrope(B)) for B in _build_cases()}
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize("B, count, simple", [
+        (_all_ones(5), 30, False), (_all_ones(6), 62, False),
+        (sample_isodiametric(6, 0), 252, True),
+    ])
+    def test_large_builds(self, B, count, simple):
+        P = build_polytrope(B)
+        assert len(P.vertices) == count and genericity_check(P) is simple
+
 
 def _count_closes(monkeypatch):
     calls = []
@@ -489,7 +504,8 @@ def _count_closes(monkeypatch):
 
 
 class TestBuildWork:
-    """A build closes one integer grid; the public enumerator closes its own."""
+    """A build closes one integer grid; the public enumerator closes its own,
+    and queries on a built polytrope read the walk's masks."""
 
     def test_build_closes_once(self, monkeypatch):
         calls = _count_closes(monkeypatch)
@@ -501,3 +517,32 @@ class TestBuildWork:
         calls.clear()
         assert kleene_star(D4_MATRIX) == P.star
         assert calls == [4]
+
+    def test_queries_read_the_walk(self, monkeypatch):
+        P = build_polytrope(sample_isodiametric(5, 3))
+        calls = []
+        for name in ("_walk", "_close", "_scaled_grid"):
+            fn = getattr(polytrope, name)
+            monkeypatch.setattr(polytrope, name,
+                                lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
+        facet_incidence(P)
+        facet_profile(P)
+        genericity_check(P)
+        polytrope_report(P)
+        assert calls == []
+        build_polytrope(P.source)  # the counters see a build
+        assert calls == ["_scaled_grid", "_close", "_walk"]
+
+    def test_incidence_is_a_fresh_dict(self):
+        P = build_polytrope(D4_MATRIX)
+        want = facet_profile(P)
+        on = facet_incidence(P)
+        on.clear()
+        assert facet_profile(P) == want == P.facet_profile
+        assert len(facet_incidence(P)) == len(P.irredundant)
+
+    def test_masks_stay_out_of_repr_and_eq(self):
+        P = build_polytrope(D4_MATRIX)
+        bare = dataclasses.replace(P, tight=())
+        assert len(P.tight) == len(P.vertices)
+        assert "tight" not in repr(P) and repr(P) == repr(bare) and P == bare
