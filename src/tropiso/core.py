@@ -80,14 +80,6 @@ class Semiring(Enum):
             return None
         return a + b
 
-    def prefer(self, a: Entry, b: Entry) -> bool:
-        """True iff ``a`` is strictly better than ``b`` (Bottom is worst)."""
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a < b if self is Semiring.MIN else a > b
-
     def best(self, values: Iterable[Entry]) -> Entry:
         out: Entry = None
         for v in values:
@@ -151,9 +143,6 @@ class TropMatrix:
     def is_finite(self) -> bool:
         return all(cell is not None for row in self.entries for cell in row)
 
-    def entry(self, i: int, j: int) -> Entry:
-        return self.entries[i][j]
-
     def row(self, i: int) -> tuple[Entry, ...]:
         return self.entries[i]
 
@@ -172,9 +161,6 @@ class TropMatrix:
             raise DomainError("permutation images must be a bijection on indices")
         ent = tuple(tuple(self.entries[r][c] for c in cp) for r in rp)
         return TropMatrix(self.semiring, ent)
-
-    def to_lists(self) -> list[list[Entry]]:
-        return [list(row) for row in self.entries]
 
     def __str__(self) -> str:
         from .matio import format_scalar

@@ -231,13 +231,8 @@ def sign_generic(A: TropMatrix, bar: bool = False, cap: int = DEFAULT_CAP) -> Pa
     return ParityReport(ParityVerdict.SAME, total, ParityMethod.FULL_ENUMERATION)
 
 
-def qvol(A: TropMatrix, method: str = BRUTE_FORCE, cap: int = DEFAULT_CAP) -> Entry:
-    """Dequantized tropical volume; defined only for sign-generic inputs.
-
-    Raises :class:`NotSignGenericError` (with the witness submatrix) or
-    :class:`ParityUnknownError` rather than silently returning the upper
-    value for inputs where upper and lower volumes may differ.
-    """
+def _generic_qvol_plus(A: TropMatrix, method: str, cap: int) -> QvolResult:
+    """qvol+ with its witness, after the bar scan has found A sign generic."""
     rep = sign_generic(A, bar=True, cap=cap)
     if rep.verdict is ParityVerdict.MIXED:
         raise NotSignGenericError(
@@ -249,7 +244,17 @@ def qvol(A: TropMatrix, method: str = BRUTE_FORCE, cap: int = DEFAULT_CAP) -> En
             f"parity enumeration capped at {cap} in submatrix {rep.selection}",
             report=rep,
         )
-    return qvol_plus(A, method=method, cap=cap, compute_parity=False).value
+    return qvol_plus(A, method=method, cap=cap, compute_parity=False)
+
+
+def qvol(A: TropMatrix, method: str = BRUTE_FORCE, cap: int = DEFAULT_CAP) -> Entry:
+    """Dequantized tropical volume; defined only for sign-generic inputs.
+
+    Raises :class:`NotSignGenericError` (with the witness submatrix) or
+    :class:`ParityUnknownError` rather than silently returning the upper
+    value for inputs where upper and lower volumes may differ.
+    """
+    return _generic_qvol_plus(A, method, cap).value
 
 
 @dataclass(frozen=True)
@@ -271,7 +276,11 @@ class LiftSpec:
 def default_lift(A: TropMatrix) -> LiftSpec:
     """Unit coefficients with boost (d+1)! on the witness diagonal."""
     _require_max(A)
-    res = qvol_plus(A, compute_parity=False)
+    return _lift(A, qvol_plus(A, compute_parity=False))
+
+
+def _lift(A: TropMatrix, res: QvolResult) -> LiftSpec:
+    """The default lift of A, boosted on the witness diagonal of ``res``."""
     cells = set()
     if res.witness_columns is not None:
         for i, k in enumerate(res.witness_perm.images):
@@ -326,13 +335,13 @@ def dequant_slope(A: TropMatrix, t_grid: Sequence = DEFAULT_T_GRID,
         raise DomainError("slope experiment implemented for at most 3 rows")
     if all(A.col(j) == A.col(0) for j in range(A.cols)):
         raise DegenerateHullError("all columns coincide; every lift has zero volume")
-    value = qvol(A, cap=cap)  # also enforces sign-genericity of the bar matrix
+    res = _generic_qvol_plus(A, BRUTE_FORCE, cap)
     ts = sorted(as_rational(t) for t in t_grid)
     if not ts or ts[0] <= 1:
         raise DomainError("t grid must contain values > 1")
     if ts[0] == ts[-1]:
         raise DomainError("a slope needs at least two distinct t values")
-    spec = default_lift(A)
+    spec = _lift(A, res)
     rows = []
     try:
         for t in ts:
@@ -349,7 +358,7 @@ def dequant_slope(A: TropMatrix, t_grid: Sequence = DEFAULT_T_GRID,
     logt = [math.log(t) for t, _, _ in rows]
     logv = [math.log(v) for _, v, _ in rows]
     slope = statistics.linear_regression(logt, logv).slope
-    return SlopeResult(slope, rows[-1][2], value, tuple(rows))
+    return SlopeResult(slope, rows[-1][2], res.value, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .assignment import lex_optimal_permutation, solve_optimal, tvol
+from .assignment import certificate, lex_optimal_permutation, solve_optimal
 from .core import (
     Semiring,
     TropMatrix,
@@ -57,8 +57,8 @@ class StandardVariant(Enum):
 
     @property
     def corner(self) -> Fraction:
-        """Value of the (1,1) entry in standard form."""
-        return Fraction(1) if self is StandardVariant.MAX else Fraction(0)
+        """Value of the (1,1) entry in standard form: the diagonal of (ii)."""
+        return Fraction(_READINGS[self].diagonal)
 
     @property
     def border(self) -> Fraction:
@@ -66,9 +66,52 @@ class StandardVariant(Enum):
         return Fraction(0) if self is StandardVariant.MAX else Fraction(1)
 
 
+@dataclass(frozen=True)
+class _Reading:
+    """One reading of conditions (i)-(iv); each scan lazily yields the
+    violations of its condition, in order.  Int bounds: exact, and a
+    Fraction compares with an int faster than with a Fraction."""
+
+    entry: tuple[int, int]   # (i)   lo <= a_ij <= hi
+    diagonal: int            # (ii)  a_ii = diagonal
+    pair: int                # (iii) a_ij + a_ji = pair, i != j
+    triple: tuple[int, int]  # (iv)  lo <= a_ij + a_jk + a_ki <= hi, i, j, k distinct
+
+    def scan_i(self, ent):
+        lo, hi = self.entry
+        return ((i, j) for i, row in enumerate(ent) for j, c in enumerate(row) if not lo <= c <= hi)
+
+    def scan_ii(self, ent):
+        diag = self.diagonal
+        return ((i,) for i, row in enumerate(ent) if row[i] != diag)
+
+    def scan_iii(self, ent):
+        pair, d = self.pair, len(ent)
+        for i in range(d):
+            for j in range(i + 1, d):
+                if ent[i][j] + ent[j][i] != pair:
+                    yield i, j
+
+    def scan_iv(self, ent, indices=None, strict=False):
+        """Cyclic triples of ``indices`` (default: all), each i < j < k in its two
+        orders, as ((a, b, c), s) when the sum s leaves [lo, hi] ((lo, hi) if ``strict``)."""
+        lo, hi = self.triple
+        for i, j, k in combinations(range(len(ent)) if indices is None else indices, 3):
+            for a, b, c in ((i, j, k), (i, k, j)):
+                s = ent[a][b] + ent[b][c] + ent[c][a]
+                if not (lo < s < hi if strict else lo <= s <= hi):
+                    yield (a, b, c), s
+
+
+_READINGS = {
+    StandardVariant.MAX: _Reading(entry=(-1, 1), diagonal=1, pair=0, triple=(-1, 1)),
+    StandardVariant.MIN: _Reading(entry=(0, 2), diagonal=0, pair=2, triple=(2, 4)),
+}
+_MIN_READING = _READINGS[StandardVariant.MIN]  # the near class and the sampler read this row
+
+
 class Classification(Enum):
     ISODIAMETRIC = "isodiametric"
-    NEAR_ISODIAMETRIC = "near-isodiametric"
     NEITHER = "neither"
 
 
@@ -99,8 +142,7 @@ class IsoReport:
 
     @property
     def all_conditions_hold(self) -> bool:
-        return (self.cond_i.holds and self.cond_ii.holds
-                and self.cond_iii.holds and self.cond_iv.holds)
+        return self.classification is Classification.ISODIAMETRIC
 
 
 def apply_move(A: TropMatrix, move: Move) -> TropMatrix:
@@ -122,21 +164,24 @@ def apply_trail(A: TropMatrix, trail: Sequence[Move]) -> TropMatrix:
     return A
 
 
+def _standard_shape(A: TropMatrix, variant: StandardVariant) -> bool:
+    """Square, finite, over the variant's semiring, and the first row and
+    column read corner, border, ..., border."""
+    if not (A.is_square and A.is_finite and A.semiring is variant.semiring):
+        return False
+    first, border = A.entries[0], variant.border
+    return first[0] == variant.corner and all(
+        first[k] == border and A.entries[k][0] == border for k in range(1, A.rows))
+
+
+def _trace(A: TropMatrix) -> Fraction:
+    """Weight of the identity permutation."""
+    return sum(A.entries[i][i] for i in range(A.rows))
+
+
 def is_standard(A: TropMatrix, variant: StandardVariant) -> bool:
     """First row/column have the prescribed pattern and the identity is optimal."""
-    if not A.is_square or not A.is_finite:
-        return False
-    if A.semiring is not variant.semiring:
-        return False
-    d = A.rows
-    if A.entries[0][0] != variant.corner:
-        return False
-    for k in range(1, d):
-        if A.entries[0][k] != variant.border or A.entries[k][0] != variant.border:
-            return False
-    value, _ = solve_optimal(A)
-    ident = sum(A.entries[i][i] for i in range(d))
-    return value == ident
+    return _standard_shape(A, variant) and solve_optimal(A)[0] == _trace(A)
 
 
 def to_standard(A: TropMatrix, variant: StandardVariant) -> StandardForm:
@@ -177,68 +222,30 @@ def to_standard(A: TropMatrix, variant: StandardVariant) -> StandardForm:
     return StandardForm(variant, B, tuple(trail))
 
 
-def _triple_bounds(variant: StandardVariant) -> tuple[Fraction, Fraction]:
-    if variant is StandardVariant.MAX:
-        return Fraction(-1), Fraction(1)
-    return Fraction(2), Fraction(4)
-
-
-def _cyclic_triples(ent, indices):
-    """Each triple i < j < k of ``indices`` in its two cyclic orders, with its sum."""
-    for i, j, k in combinations(indices, 3):
-        for a, b, c in ((i, j, k), (i, k, j)):
-            yield (a, b, c), ent[a][b] + ent[b][c] + ent[c][a]
-
-
 def _first(violations) -> ConditionCheck:
     """Holds iff ``violations`` is empty; else records the first one."""
     first = next(violations, None)
     return ConditionCheck(first is None, first)
 
 
-def _scan_conditions(A: TropMatrix, variant: StandardVariant):
-    """Evaluate conditions (i)-(iv) on the raw coefficients."""
-    d = A.rows
-    ent = A.entries
-    lo_i, hi_i = (Fraction(-1), Fraction(1)) if variant is StandardVariant.MAX \
-        else (Fraction(0), Fraction(2))
-    diag = variant.corner
-    pair_target = Fraction(0) if variant is StandardVariant.MAX else Fraction(2)
-    lo_t, hi_t = _triple_bounds(variant)
-
-    cond_i = _first((i, j) for i in range(d) for j in range(d)
-                    if not lo_i <= ent[i][j] <= hi_i)
-    cond_ii = _first((i,) for i in range(d) if ent[i][i] != diag)
-    cond_iii = _first((i, j) for i in range(d) for j in range(i + 1, d)
-                      if ent[i][j] + ent[j][i] != pair_target)
-    triples = list(_cyclic_triples(ent, range(d)))
-    cond_iv = _first(abc for abc, s in triples if not lo_t <= s <= hi_t)
-    strict_iv = all(lo_t < s < hi_t for _, s in triples)
-    return cond_i, cond_ii, cond_iii, cond_iv, strict_iv
-
-
 def check_conditions(A: TropMatrix, variant: StandardVariant) -> IsoReport:
-    """Exact evaluation of conditions (i)-(iv) on a standard matrix."""
+    """Exact evaluation of conditions (i)-(iv) on a standard matrix; one
+    assignment solve both confirms that the identity is optimal and gives tvol."""
     require_square(A)
     require_finite(A)
     if A.rows < 2:
         raise DomainError("condition system needs dimension >= 2")
-    if not is_standard(A, variant):
+    cert = certificate(A) if _standard_shape(A, variant) else None
+    if cert is None or cert.best_value != _trace(A):
         raise DomainError(f"matrix is not in {variant.value}-standard shape")
-    cond_i, cond_ii, cond_iii, cond_iv, strict_iv = _scan_conditions(A, variant)
-
-    diam = tdiam(A)
-    vol = tvol(A)
-    if cond_i.holds and cond_ii.holds and cond_iii.holds and cond_iv.holds:
-        classification = Classification.ISODIAMETRIC
-    elif (variant is StandardVariant.MIN
-          and cond_ii.holds and cond_iii.holds and cond_iv.holds
-          and all(c >= 0 for row in A.entries for c in row)):
-        classification = Classification.NEAR_ISODIAMETRIC
-    else:
-        classification = Classification.NEITHER
-    return IsoReport(variant, cond_i, cond_ii, cond_iii, cond_iv,
-                     strict_iv, diam, vol, classification)
+    r, ent = _READINGS[variant], A.entries
+    lo, hi = r.triple
+    touching = list(r.scan_iv(ent, strict=True))  # one pass decides (iv) and strict (iv)
+    conds = (_first(r.scan_i(ent)), _first(r.scan_ii(ent)), _first(r.scan_iii(ent)),
+             _first(abc for abc, s in touching if not lo <= s <= hi))
+    iso = all(c.holds for c in conds)
+    return IsoReport(variant, *conds, not touching, tdiam(A), cert.tvol,
+                     Classification.ISODIAMETRIC if iso else Classification.NEITHER)
 
 
 def converse_check(A: TropMatrix, variant: StandardVariant) -> bool:
@@ -254,7 +261,9 @@ def converse_check(A: TropMatrix, variant: StandardVariant) -> bool:
 
 
 def is_near_isodiametric(B: TropMatrix) -> bool:
-    """Nonnegative, zero diagonal, opposite pairs sum to 2, triples in [2, 4].
+    """Nonnegative, zero diagonal, opposite pairs sum to 2, triples in [2, 4]:
+    the lower bound of (i), then (ii)-(iv) of the min reading, each scan
+    stopping at its first violation.
 
     The upper bound of condition (i) is not required and the matrix need not
     be standard.
@@ -262,17 +271,12 @@ def is_near_isodiametric(B: TropMatrix) -> bool:
     require_square(B)
     if not B.is_finite:
         return False
-    d = B.rows
-    ent = B.entries
-    if any(c < 0 for row in ent for c in row):
+    r, ent = _MIN_READING, B.entries
+    lo = r.entry[0]
+    if any(c < lo for row in ent for c in row):
         return False
-    if any(ent[i][i] != 0 for i in range(d)):
-        return False
-    for i in range(d):
-        for j in range(i + 1, d):
-            if ent[i][j] + ent[j][i] != 2:
-                return False
-    return all(2 <= s <= 4 for _, s in _cyclic_triples(ent, range(d)))
+    return not (next(r.scan_ii(ent), None) or next(r.scan_iii(ent), None)
+                or next(r.scan_iv(ent), None))
 
 
 def free_parameter_count(d: int) -> int:
@@ -294,26 +298,22 @@ def sample_isodiametric(d: int, seed: int, require_strict: bool = False,
     if d < 3:
         raise DomainError("sampler needs dimension >= 3")
     rng = random.Random(seed)
-    one, two, four = Fraction(1), Fraction(2), Fraction(4)
-    lo_num = 1 if require_strict else 0
-    hi_num = 2 * _SAMPLER_SCALE - (1 if require_strict else 0)
+    corner, border = StandardVariant.MIN.corner, StandardVariant.MIN.border
+    pair = Fraction(_MIN_READING.pair)
+    margin = 1 if require_strict else 0
+    lo_num = _MIN_READING.entry[0] * _SAMPLER_SCALE + margin
+    hi_num = _MIN_READING.entry[1] * _SAMPLER_SCALE - margin
     inner = range(1, d)  # indices outside the first row/column
     for _ in range(max_attempts):
-        ent = [[Fraction(0)] * d for _ in range(d)]
+        ent = [[corner] * d for _ in range(d)]
         for k in range(1, d):
-            ent[0][k] = ent[k][0] = one
-        for i in inner:
-            for j in inner:
-                if i < j:
-                    ent[i][j] = Fraction(rng.randint(lo_num, hi_num), _SAMPLER_SCALE)
-                    ent[j][i] = two - ent[i][j]
-        sums = (s for _, s in _cyclic_triples(ent, inner))
-        if require_strict:
-            ok = all(two < s < four for s in sums)
-        else:
-            ok = all(two <= s <= four for s in sums)
-        if ok:
-            return TropMatrix(Semiring.MIN, tuple(tuple(r) for r in ent))
+            ent[0][k] = ent[k][0] = border
+        for i, j in combinations(inner, 2):
+            ent[i][j] = Fraction(rng.randint(lo_num, hi_num), _SAMPLER_SCALE)
+            ent[j][i] = pair - ent[i][j]
+        # a triple through index 0 sums to 2 + b_jk, inside (iv) by the draw range
+        if next(_MIN_READING.scan_iv(ent, inner, require_strict), None) is None:
+            return TropMatrix(Semiring.MIN, tuple(tuple(row) for row in ent))
     raise SamplerLimitError(
         f"no admissible sample within {max_attempts} attempts (d={d})"
     )
@@ -327,12 +327,9 @@ def negate_complement(A: TropMatrix) -> TropMatrix:
     """
     require_square(A)
     require_finite(A)
-    if is_standard(A, StandardVariant.MAX):
-        target = Semiring.MIN
-    elif is_standard(A, StandardVariant.MIN):
-        target = Semiring.MAX
-    else:
+    if not is_standard(A, StandardVariant(A.semiring.value)):
         raise DomainError("input must be max-standard or min-standard")
+    target = Semiring.MIN if A.semiring is Semiring.MAX else Semiring.MAX
     one = Fraction(1)
     ent = tuple(tuple(one - c for c in row) for row in A.entries)
     return TropMatrix(target, ent)

@@ -37,6 +37,8 @@ from .matio import format_scalar
 # facet identifier (i, j) = inequality x_i - x_j <= star[i][j], indices 0-based
 Facet = tuple[int, int]
 
+MAX_DIM = 6  # vertex enumeration refuses larger dimensions
+
 
 def _find_negative_cycle(grid: list, scale: int) -> tuple[list[int], Fraction]:
     """Locate one simple negative cycle via Bellman-Ford from a supersource.
@@ -215,9 +217,9 @@ def _connected(mask: int, adj: Sequence[int]) -> bool:
         reach = grown
 
 
-def _require_dim(d: int, max_dim: int) -> None:
-    if d > max_dim:
-        raise DomainError(f"vertex enumeration guarded at dimension {max_dim} (got d={d})")
+def _require_dim(d: int) -> None:
+    if d > MAX_DIM:
+        raise DomainError(f"vertex enumeration guarded at dimension {MAX_DIM} (got d={d})")
 
 
 def _walk(s: list[list[Optional[int]]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -259,8 +261,8 @@ def _walk(s: list[list[Optional[int]]]) -> list[tuple[tuple[int, ...], tuple[int
     return sorted(tight.items())
 
 
-def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
-                       max_dim: int = 6) -> list[tuple[Fraction, ...]]:
+def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]],
+                       d: int) -> list[tuple[Fraction, ...]]:
     """Exact vertex enumeration of the chart polytope from its inequalities.
 
     Polytropes are alcoved polytopes, so every edge runs along a 0/1 vector
@@ -274,7 +276,7 @@ def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]], d: int,
     the arcs leaving S.  The polyhedron must be bounded: every ordered pair
     (i, j) is bounded once the system is closed.  Vertices come out sorted.
     """
-    _require_dim(d, max_dim)
+    _require_dim(d)
     scale = math.lcm(*(b.denominator for _, _, b in hrep))
     s: list[list[Optional[int]]] = [
         [0 if i == j else None for j in range(d)] for i in range(d)
@@ -314,18 +316,18 @@ def facet_incidence(P: Polytrope) -> dict[Facet, frozenset[int]]:
 
 
 def facet_profile(P: Polytrope) -> dict[Facet, int]:
-    """Number of vertices incident to each irredundant facet (exact)."""
-    return {f: len(on) for f, on in facet_incidence(P).items()}
+    """Number of vertices on each irredundant facet: a copy of ``P.facet_profile``."""
+    return dict(P.facet_profile)
 
 
-def build_polytrope(B: TropMatrix, max_dim: int = 6) -> Polytrope:
+def build_polytrope(B: TropMatrix) -> Polytrope:
     """Star, H-representation, facets, vertices and incidences from one closed grid."""
     s, scale = _closed_grid(B)
     star = _grid_matrix(s, scale)
     hrep = tuple((i, j, b) for i, row in enumerate(star.entries)
                  for j, b in enumerate(row) if i != j and b is not None)
     irr = tuple(_facets(s))
-    _require_dim(len(s), max_dim)
+    _require_dim(len(s))
     walk = _walk(s)
     verts = tuple(tuple(Fraction(v, scale) for v in x[1:]) for x, _ in walk)
     tight = tuple(rows for _, rows in walk)

@@ -303,6 +303,27 @@ def brute_genericity_check(P) -> bool:
     )
 
 
+def brute_is_near_isodiametric(B: TropMatrix) -> bool:
+    """Finite, nonnegative, zero diagonal, opposite pairs summing to 2 and
+    every cyclic triple sum in [2, 4], each checked by its own loop."""
+    if not B.is_finite:
+        return False
+    d, ent = B.rows, B.entries
+    if any(c < 0 for row in ent for c in row):
+        return False
+    if any(ent[i][i] != 0 for i in range(d)):
+        return False
+    for i in range(d):
+        for j in range(i + 1, d):
+            if ent[i][j] + ent[j][i] != 2:
+                return False
+    for i, j, k in combinations(range(d), 3):
+        for a, b, c in ((i, j, k), (i, k, j)):
+            if not 2 <= ent[a][b] + ent[b][c] + ent[c][a] <= 4:
+                return False
+    return True
+
+
 def random_finite(rng: random.Random, rows: int, cols: int, semiring: Semiring,
                   lo: int = -4, hi: int = 4, den: int = 4) -> TropMatrix:
     ent = tuple(

@@ -129,6 +129,17 @@ def test_qvol_scans_the_bar_matrix_only_for_json(flags, scans, capsys, monkeypat
         assert code == 0 and len(calls) == scans
 
 
+@pytest.mark.parametrize("name, flags, code, out, err", [
+    ("wide_B.json", [], 0, "-1\n", ""),
+    ("wide_A.json", [], 1, "", "ERROR:not-sign-generic:"),
+    ("wide_A.json", ["--cap", "1"], 1, "", "ERROR:parity-unknown:"),
+])
+def test_qvol_require_generic(name, flags, code, out, err, capsys):
+    got = run_cli(["qvol", "--require-generic", *flags, str(DEMO_DATA / name)], capsys)
+    assert got[:2] == (code, out)
+    assert len(got[2].splitlines()) == (1 if err else 0) and got[2].startswith(err)
+
+
 def test_qvol_help_says_where_cap_acts(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["qvol", "--help"])
@@ -180,6 +191,33 @@ def test_iso_check_on_sample(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["classification"] == "isodiametric"
     assert obj["tdiam"] == "2" and obj["tvol"] == "2"
+
+
+def test_iso_check_standardizes_first(tmp_path, capsys):
+    mat, std = tmp_path / "m.json", tmp_path / "s.json"
+    mat.write_text('{"semiring": "min", "data": [[3, 0, 2], [1, 4, 0], [0, 2, 5]]}')
+    code, out, _ = run_cli(["iso-check", str(mat)], capsys)
+    assert code == 0
+    first = json.loads(out)
+    code, out, _ = run_cli(["standardize", str(mat)], capsys)
+    assert code == 0
+    std.write_text(json.dumps(json.loads(out)["matrix"]))
+    code, out, _ = run_cli(["iso-check", str(std)], capsys)
+    assert code == 0
+    second = json.loads(out)
+    assert first.pop("standardized_first") is True
+    assert second.pop("standardized_first") is False
+    assert first == second
+
+
+def test_polytrope_dimension_guard(tmp_path, capsys):
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"semiring": "min",
+                               "data": [[0 if i == j else 1 for j in range(7)]
+                                        for i in range(7)]}))
+    code, out, err = run_cli(["polytrope", str(mat)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "ERROR:domain: vertex enumeration guarded at dimension 6 (got d=7)\n"
 
 
 def test_standardize_roundtrip(tmp_path, capsys):

@@ -21,6 +21,7 @@ from tropiso import (
     LiftSpec,
     NotSignGenericError,
     ParityMethod,
+    ParityUnknownError,
     ParityVerdict,
     Semiring,
     TropMatrix,
@@ -28,6 +29,7 @@ from tropiso import (
     cauchy_binet_check,
     default_lift,
     dequant_slope,
+    hull_volume,
     idempotent_measure_check,
     lift_eval,
     qvol,
@@ -37,6 +39,7 @@ from tropiso import (
     tvol,
     volume_bound_check,
 )
+from tropiso.dequant import DEFAULT_T_GRID
 
 MAX = Semiring.MAX
 
@@ -300,6 +303,12 @@ class TestQvol:
         with pytest.raises(NotSignGenericError):
             qvol(mk([[0, 5], [0, 0]]))
 
+    def test_capped_scan_raises(self):
+        with pytest.raises(ParityUnknownError) as err:
+            qvol(PAPER_A, cap=1)
+        assert err.value.report.verdict is ParityVerdict.UNKNOWN
+        assert err.value.report.selection == (0, 1, 2)
+
     def test_genericity_failure_breaks_monotonicity(self):
         # hull containment does not transfer qvol+ bounds without parity
         # control: the wider matrix here has the smaller value
@@ -384,6 +393,31 @@ class TestDequantSlope:
             res = dequant_slope(A)
             assert abs(res.slope - float(res.qvol_value)) < 0.05
             done += 1
+
+    def test_one_scan_of_each_kind(self, monkeypatch):
+        # one bar scan (one 3x3 subset) and one qvol+ scan (three 2x2
+        # subsets), whose witness also places the lift's boost
+        calls = _count_solves(monkeypatch)
+        res = dequant_slope(WORKED)
+        assert calls == [3, 2, 2, 2]
+        assert res.qvol_value == 2
+        calls.clear()
+        want = default_lift(WORKED)
+        assert calls == [2, 2, 2]
+        assert [row[:2] for row in res.rows] == [
+            (t, hull_volume([tuple(c) for c in zip(*lift_eval(want, t))])[0])
+            for t in sorted(DEFAULT_T_GRID)]
+
+    @pytest.mark.parametrize("A, grid, error, match", [
+        (mk([[0, 0], [0, 0], [0, 0], [0, 0]]), (10,), DomainError, "at most 3 rows"),
+        (PAPER_A, (10,), DegenerateHullError, "columns coincide"),  # before the scan
+        (mk([[0, 5], [0, 0]]), (10,), NotSignGenericError, "mixed parity"),  # before the grid
+        (mk([[1, 2], [3, 5]]), (10,), DomainError, "two distinct t"),  # before the lift
+        (mk([[1, 2], [3, 5]]), (10, 100), DegenerateHullError, "zero volume at t=10"),
+    ])
+    def test_error_order(self, A, grid, error, match):
+        with pytest.raises(error, match=match):
+            dequant_slope(A, t_grid=grid)
 
     def test_rows_report_grid(self):
         res = dequant_slope(WORKED, t_grid=(10, 100))

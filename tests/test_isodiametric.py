@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tropiso.assignment as assignment
 from conftest import (
     D4_MATRIX,
+    brute_is_near_isodiametric,
     brute_tvol,
     family3,
     random_finite,
@@ -104,8 +107,8 @@ class TestCheckConditions:
 
     def test_min_standard_nonneg_pairs_imply_bound_i(self):
         # with zero diagonal, nonnegativity and pair sums equal to 2, the
-        # entry bounds of condition (i) follow; classification is then
-        # isodiametric or neither, never the near class
+        # entry bounds of condition (i) follow, so a min-standard matrix that
+        # is near-isodiametric is isodiametric: no third class is needed
         for seed in range(5):
             B = sample_isodiametric(4, seed)
             rep = check_conditions(B, StandardVariant.MIN)
@@ -115,6 +118,26 @@ class TestCheckConditions:
         A = random_finite(random.Random(2), 3, 3, Semiring.MIN)
         with pytest.raises(DomainError):
             check_conditions(A, StandardVariant.MIN)
+
+    def test_standard_border_without_optimal_identity(self):
+        # the first row and column fit, but the anti-diagonal beats the identity
+        B = TropMatrix.from_rows([[0, 1, 1], [1, 5, 0], [1, 0, 5]], Semiring.MIN)
+        assert not is_standard(B, StandardVariant.MIN)
+        with pytest.raises(DomainError, match="^matrix is not in min-standard shape$"):
+            check_conditions(B, StandardVariant.MIN)
+
+    @pytest.mark.parametrize("variant", list(StandardVariant))
+    def test_one_assignment_solve(self, variant, monkeypatch):
+        B = sample_isodiametric(5, 0)
+        A = B if variant is StandardVariant.MIN else negate_complement(B)
+        calls = []
+        solve = assignment._hungarian_min
+        monkeypatch.setattr(assignment, "_hungarian_min",
+                            lambda grid: calls.append(len(grid)) or solve(grid))
+        rep = check_conditions(A, variant)
+        assert calls == [5]
+        assert rep.classification is Classification.ISODIAMETRIC
+        assert rep.tvol == brute_tvol(A) == 2
 
 
 class TestConverse:
@@ -154,6 +177,31 @@ class TestNearIsodiametric:
         B = family3(1).permute(row_perm=[2, 0, 1], col_perm=[2, 0, 1])
         assert is_near_isodiametric(B)
 
+    def test_agrees_with_loops(self):
+        """Samples d=3-7, permuted copies, one-entry and pair-preserving
+        perturbations, random nonnegative matrices and a Bottom entry."""
+        rng = random.Random(1448)
+        cases = []
+        for n in range(60):
+            d = 3 + n % 5
+            B = sample_isodiametric(d, rng.randrange(10 ** 6), require_strict=n % 2 == 1)
+            perm = rng.sample(range(d), d)
+            cases += [B, B.permute(row_perm=perm, col_perm=perm)]
+            for paired in (False, True, False, True):
+                e = [list(row) for row in B.entries]
+                i, j = rng.randrange(d), rng.randrange(d)
+                step = Fraction(rng.choice((-1, 1)) * rng.randint(1, 8), rng.randint(1, 8))
+                e[i][j] += step
+                if paired and i != j:
+                    e[j][i] -= step
+                cases.append(TropMatrix(Semiring.MIN, tuple(map(tuple, e))))
+            cases.append(random_finite(rng, d, d, Semiring.MIN, lo=0, hi=2, den=n % 3 + 1))
+        cases.append(TropMatrix(Semiring.MIN, ((Fraction(0), None), (Fraction(2), Fraction(0)))))
+        verdicts = [brute_is_near_isodiametric(B) for B in cases]
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+        for B, want in zip(cases, verdicts):
+            assert is_near_isodiametric(B) is want, B
+
 
 class TestSampler:
     def test_d3_matches_family(self):
@@ -180,6 +228,19 @@ class TestSampler:
             B = sample_isodiametric(5, seed, require_strict=True)
             rep = check_conditions(B, StandardVariant.MIN)
             assert rep.strict_iv
+
+    def test_pinned_draws(self):
+        # a change to the draw range, the draw order or the acceptance test
+        # changes these samples
+        assert sample_isodiametric(4, 0, require_strict=True) == TropMatrix.from_rows(
+            [[0, 1, 1, 1],
+             [1, 0, Fraction(789, 625), Fraction(6891, 5000)],
+             [1, Fraction(461, 625), 0, Fraction(1327, 10000)],
+             [1, Fraction(3109, 5000), Fraction(18673, 10000), 0]], Semiring.MIN)
+        text = repr([sample_isodiametric(d, seed, require_strict=strict)
+                     for d in range(3, 7) for seed in range(3) for strict in (False, True)])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "09fb68255d36cbe0bc9bc8960f32c095a1e24dc9977d076d67bf6002820ae150"
 
     def test_deterministic_under_seed(self):
         assert sample_isodiametric(5, 123) == sample_isodiametric(5, 123)

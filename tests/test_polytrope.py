@@ -533,6 +533,18 @@ class TestBuildWork:
         build_polytrope(P.source)  # the counters see a build
         assert calls == ["_scaled_grid", "_close", "_walk"]
 
+    def test_profile_copies_the_build_counts(self, monkeypatch):
+        built = [build_polytrope(B) for B in _build_cases()]
+        wants = [{f: len(on) for f, on in facet_incidence(P).items()} for P in built]
+        calls = []
+        monkeypatch.setattr(polytrope, "facet_incidence", lambda P: calls.append(P))
+        for P, want in zip(built, wants):
+            got = facet_profile(P)
+            assert list(got.items()) == list(want.items())
+            got.clear()
+            assert list(P.facet_profile.items()) == list(want.items())
+        assert calls == []
+
     def test_incidence_is_a_fresh_dict(self):
         P = build_polytrope(D4_MATRIX)
         want = facet_profile(P)
