@@ -75,6 +75,7 @@ from .isodiametric import (
     is_standard,
     negate_complement,
     sample_isodiametric,
+    standardize_and_check,
     to_standard,
 )
 from .matio import (

@@ -8,7 +8,11 @@ of optimal permutations.
 The solver is a shortest-augmenting-path Hungarian method run on exact
 integers: rational entries are scaled by the common denominator, so every
 comparison is exact and knife-edge ties are preserved.  Bottom entries are
-excluded arcs (forbidden assignment cells).
+excluded arcs (forbidden assignment cells).  Duals are updated lazily, once
+per augmentation (Jonker & Volgenant 1987), and each step scans only the
+free columns, ascending, with strict tie-breaks; the augmentations, and so
+the optimum, the duals and every witness, are those of the eager method
+that updates every column at every step.
 
 Every quantity reads one solve and its duals u, v: a permutation costs the
 optimum plus its reduced costs g_ij - u_i - v_j >= 0, so the optima are the
@@ -110,55 +114,56 @@ def _hungarian_min(grid: list[list[Optional[int]]]):
 
     Returns (total cost, images, u, v) or None when no perfect matching exists.
     Shortest augmenting paths with dual potentials u, v; exact throughout.
+    ``minv`` is offset by ``shift``, the sum of the phase's steps so far, and
+    the tree's duals move once, when the phase ends.
     """
     n = len(grid)
     u = [0] * n
-    v = [0] * (n + 1)  # column n is the virtual start column
-    match = [-1] * (n + 1)
+    v = [0] * n
+    match = [-1] * n  # the row of each column
+    cols = range(n)
     for i in range(n):
-        match[n] = i
-        j0 = n
-        minv: list[Optional[int]] = [None] * (n + 1)
-        way = [n] * (n + 1)
-        used = [False] * (n + 1)
+        free = [*cols]      # the columns off the tree, ascending
+        minv = [None] * n   # least reduced cost into each column, plus shift
+        way = [-1] * n      # the tree column before each column; -1 is row i
+        used = []
+        i0, j0, shift = i, -1, 0
         while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta: Optional[int] = None
-            j1 = -1
-            for j in range(n):
-                if used[j]:
-                    continue
-                cell = grid[i0][j]
-                if cell is not None:
-                    cur = cell - u[i0] - v[j]
-                    if minv[j] is None or cur < minv[j]:
-                        minv[j] = cur
+            row, h = grid[i0], u[i0] - shift
+            best = None
+            for j in free:
+                c = row[j]
+                m = minv[j]
+                if c is not None:
+                    c -= h + v[j]
+                    if m is None or c < m:
+                        minv[j] = m = c
                         way[j] = j0
-                if minv[j] is not None and (delta is None or minv[j] < delta):
-                    delta = minv[j]
-                    j1 = j
-            if delta is None:
+                elif m is None:
+                    continue
+                if best is None or m < best:
+                    best, j1 = m, j
+            if best is None:
                 return None  # some row set cannot be matched
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                elif minv[j] is not None:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == -1:
+            if match[j1] == -1:
                 break
-        while j0 != n:
-            j2 = way[j0]
-            match[j0] = match[j2]
-            j0 = j2
-    images = [-1] * n
-    for j in range(n):
-        if match[j] >= 0:
-            images[match[j]] = j
-    total = sum(grid[r][images[r]] for r in range(n))
-    return total, tuple(images), u, v[:n]
+            free.remove(j1)
+            used.append(j1)
+            i0, j0, shift = match[j1], j1, best
+        u[i] += best
+        for j in used:
+            t = best - minv[j]
+            u[match[j]] += t
+            v[j] -= t
+        k = way[j1]
+        while k != -1:
+            match[j1] = match[k]
+            j1, k = k, way[k]
+        match[j1] = i
+    images = [0] * n
+    for j, r in enumerate(match):
+        images[r] = j
+    return sum(grid[r][images[r]] for r in range(n)), tuple(images), u, v
 
 
 def _scaled_grid(A: TropMatrix) -> tuple[list[list[Optional[int]]], int, int]:
@@ -166,9 +171,9 @@ def _scaled_grid(A: TropMatrix) -> tuple[list[list[Optional[int]]], int, int]:
     dens = {cell.denominator for row in A.entries for cell in row if cell is not None}
     scale = math.lcm(*dens) if dens else 1
     sign = -1 if A.semiring is Semiring.MAX else 1
+    factor = {q: sign * (scale // q) for q in dens}
     grid = [
-        [None if cell is None else sign * cell.numerator * (scale // cell.denominator)
-         for cell in row]
+        [None if cell is None else cell.numerator * factor[cell.denominator] for cell in row]
         for row in A.entries
     ]
     return grid, scale, sign

@@ -115,11 +115,7 @@ def _cmd_standardize(args) -> int:
 def _cmd_iso_check(args) -> int:
     A = load_matrix(args.matrix, _semiring(args.semiring))
     variant = isodiametric.StandardVariant(args.variant or A.semiring.value)
-    standardized = False
-    if not isodiametric.is_standard(A, variant):
-        A = isodiametric.to_standard(A, variant).matrix
-        standardized = True
-    report = isodiametric.check_conditions(A, variant)
+    standardized, report = isodiametric.standardize_and_check(A, variant)
 
     def cond(c):
         return {"holds": c.holds,

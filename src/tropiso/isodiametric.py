@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .assignment import certificate, lex_optimal_permutation, solve_optimal
+from .assignment import _cheapest_cycle, _optima, _solve, _Solution
 from .core import (
     Semiring,
     TropMatrix,
@@ -179,9 +179,17 @@ def _trace(A: TropMatrix) -> Fraction:
     return sum(A.entries[i][i] for i in range(A.rows))
 
 
+def _standard_solve(A: TropMatrix, variant: StandardVariant) -> Optional[_Solution]:
+    """The one assignment solve of A if A is standard, else None."""
+    if not _standard_shape(A, variant):
+        return None
+    sol = _solve(A)
+    return sol if sol.value(sol.total) == _trace(A) else None
+
+
 def is_standard(A: TropMatrix, variant: StandardVariant) -> bool:
     """First row/column have the prescribed pattern and the identity is optimal."""
-    return _standard_shape(A, variant) and solve_optimal(A)[0] == _trace(A)
+    return _standard_solve(A, variant) is not None
 
 
 def to_standard(A: TropMatrix, variant: StandardVariant) -> StandardForm:
@@ -190,7 +198,8 @@ def to_standard(A: TropMatrix, variant: StandardVariant) -> StandardForm:
     Columns are permuted by the lexicographically smallest optimal
     permutation so the identity becomes optimal, then row offsets fix the
     first column and column offsets fix the first row.  Tropical diameter
-    and tropical volume are preserved exactly.
+    and tropical volume are preserved exactly.  One solve: the offsets shift
+    every permutation alike, so the trace ends at the optimum plus their sum.
     """
     require_square(A)
     require_finite(A)
@@ -199,9 +208,10 @@ def to_standard(A: TropMatrix, variant: StandardVariant) -> StandardForm:
             f"{variant.value}-standardization needs a {variant.semiring.value}-plus matrix"
         )
     d = A.rows
-    sigma = lex_optimal_permutation(A)
-    trail: list[Move] = [("col_perm", sigma.images)]
-    B = A.permute(col_perm=sigma.images)
+    sol = _solve(A)
+    sigma = next(_optima(sol))
+    trail: list[Move] = [("col_perm", sigma)]
+    B = A.permute(col_perm=sigma)
 
     corner, border = variant.corner, variant.border
     r0 = corner - B.entries[0][0]
@@ -217,7 +227,8 @@ def to_standard(A: TropMatrix, variant: StandardVariant) -> StandardForm:
     trail.append(("col_offsets", col_offsets))
     B = translate(B, (Fraction(0),) * d, col_offsets)
 
-    if not is_standard(B, variant):  # pragma: no cover - internal consistency
+    optimum = sol.value(sol.total) + sum(row_offsets) + sum(col_offsets)
+    if not (_standard_shape(B, variant) and _trace(B) == optimum):  # pragma: no cover
         raise AssertionError("standardization produced a non-standard matrix")
     return StandardForm(variant, B, tuple(trail))
 
@@ -231,12 +242,25 @@ def _first(violations) -> ConditionCheck:
 def check_conditions(A: TropMatrix, variant: StandardVariant) -> IsoReport:
     """Exact evaluation of conditions (i)-(iv) on a standard matrix; one
     assignment solve both confirms that the identity is optimal and gives tvol."""
+    return _check(A, variant, _standard_solve(A, variant))
+
+
+def standardize_and_check(A: TropMatrix, variant: StandardVariant) -> tuple[bool, IsoReport]:
+    """Whether A had to be standardized first, and ``check_conditions`` of its
+    standard form.  A standard input costs one assignment solve."""
+    sol = _standard_solve(A, variant)
+    if sol is None:
+        return True, check_conditions(to_standard(A, variant).matrix, variant)
+    return False, _check(A, variant, sol)
+
+
+def _check(A: TropMatrix, variant: StandardVariant, sol: Optional[_Solution]) -> IsoReport:
+    """``check_conditions`` given ``_standard_solve(A, variant)``."""
     require_square(A)
     require_finite(A)
     if A.rows < 2:
         raise DomainError("condition system needs dimension >= 2")
-    cert = certificate(A) if _standard_shape(A, variant) else None
-    if cert is None or cert.best_value != _trace(A):
+    if sol is None:
         raise DomainError(f"matrix is not in {variant.value}-standard shape")
     r, ent = _READINGS[variant], A.entries
     lo, hi = r.triple
@@ -244,7 +268,8 @@ def check_conditions(A: TropMatrix, variant: StandardVariant) -> IsoReport:
     conds = (_first(r.scan_i(ent)), _first(r.scan_ii(ent)), _first(r.scan_iii(ent)),
              _first(abc for abc, s in touching if not lo <= s <= hi))
     iso = all(c.holds for c in conds)
-    return IsoReport(variant, *conds, not touching, tdiam(A), cert.tvol,
+    return IsoReport(variant, *conds, not touching, tdiam(A),
+                     Fraction(_cheapest_cycle(sol), sol.scale),
                      Classification.ISODIAMETRIC if iso else Classification.NEITHER)
 
 

@@ -14,7 +14,10 @@ itself; ``brute_cheapest_cycle`` reads one solve's duals (which
 and ``dfs_optima``, the optima walk the library used before it pruned dead
 ends, reads the same solve's tight columns and tries every unused one at each
 row, so it is the reference for the library's walk at d >= 8, where
-``brute_optima`` is too slow.
+``brute_optima`` is too slow.  ``reference_hungarian_min`` is the assignment
+kernel the library used before it settled duals lazily: it updates every
+dual and every ``minv`` at each step, and must agree with the library's
+kernel on the whole 4-tuple, duals included.
 """
 
 import math
@@ -22,14 +25,88 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
+
 from tropiso import (
     ParityMethod,
     ParityReport,
     ParityVerdict,
     Semiring,
     TropMatrix,
+    assignment,
     parity_report,
 )
+
+
+def reference_hungarian_min(grid):
+    """Min-cost perfect matching on an integer grid; None cells are forbidden.
+
+    Returns (total cost, images, u, v) or None when no perfect matching exists.
+    Shortest augmenting paths that subtract each step from every ``minv`` and
+    add it to every tree dual, over all columns; exact integers throughout.
+    """
+    n = len(grid)
+    u = [0] * n
+    v = [0] * (n + 1)  # column n is the virtual start column
+    match = [-1] * (n + 1)
+    for i in range(n):
+        match[n] = i
+        j0 = n
+        minv = [None] * (n + 1)
+        way = [n] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = None
+            j1 = -1
+            for j in range(n):
+                if used[j]:
+                    continue
+                cell = grid[i0][j]
+                if cell is not None:
+                    cur = cell - u[i0] - v[j]
+                    if minv[j] is None or cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                if minv[j] is not None and (delta is None or minv[j] < delta):
+                    delta = minv[j]
+                    j1 = j
+            if delta is None:
+                return None  # some row set cannot be matched
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                elif minv[j] is not None:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == -1:
+                break
+        while j0 != n:
+            j2 = way[j0]
+            match[j0] = match[j2]
+            j0 = j2
+    images = [-1] * n
+    for j in range(n):
+        if match[j] >= 0:
+            images[match[j]] = j
+    total = sum(grid[r][images[r]] for r in range(n))
+    return total, tuple(images), u, v[:n]
+
+
+@pytest.fixture
+def solve_counter(monkeypatch) -> list[int]:
+    """The dimension of each assignment solve made while the test runs."""
+    calls: list[int] = []
+    solve = assignment._hungarian_min
+
+    def counting(grid):
+        calls.append(len(grid))
+        return solve(grid)
+
+    monkeypatch.setattr(assignment, "_hungarian_min", counting)
+    return calls
 
 
 def scaled_grid(A: TropMatrix):

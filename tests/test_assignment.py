@@ -13,6 +13,7 @@ from conftest import (
     family3,
     random_finite,
     random_with_bottom,
+    reference_hungarian_min,
     scaled_grid,
     unit_matrix,
 )
@@ -426,6 +427,54 @@ def _oracle_inputs(seed: int, per_case: int = 6):
                 yield random_with_bottom(rng, d, d, sr, p_bottom=0.25, lo=-2, hi=2)
 
 
+def _kernel_grids(seed: int):
+    """Integer grids for the kernel: d = 0..12 with entries in {0, 1, 2}, of
+    +-10**6 and of 400 digits, and with 10-40% Bottom cells (many with no
+    perfect matching); then d = 16, 32 and 64."""
+    rng = random.Random(seed)
+    big = 10**400
+    for d in range(13):
+        for _ in range(100):
+            for lo, hi in ((0, 2), (-10**6, 10**6), (-big, big)):
+                yield [[rng.randint(lo, hi) for _ in range(d)] for _ in range(d)]
+            p = rng.choice((0.1, 0.2, 0.3, 0.4))
+            yield [[None if rng.random() < p else rng.randint(-3, 3) for _ in range(d)]
+                   for _ in range(d)]
+    for d in (16, 32, 64):
+        for lo, hi in ((0, 2), (-10**6, 10**6)):
+            yield [[rng.randint(lo, hi) for _ in range(d)] for _ in range(d)]
+
+
+class TestKernelAgainstReference:
+    def test_same_total_images_and_duals(self):
+        grids = list(_kernel_grids(19))
+        assert len(grids) >= 5000
+        infeasible = 0
+        for grid in grids:
+            res = assignment._hungarian_min(grid)
+            assert res == reference_hungarian_min(grid), grid
+            infeasible += res is None
+        assert infeasible > 0
+
+    def test_scaled_grid(self):
+        rng = random.Random(20)
+        dens = (1, 2, 9, 10**6, 10**9 + 7)
+        cases = [TropMatrix(sr, ((None, None), (None, None))) for sr in Semiring]
+        for d in range(1, 9):
+            for sr in Semiring:
+                for _ in range(10):
+                    cases.append(TropMatrix(sr, tuple(
+                        tuple(None if rng.random() < 0.2 else
+                              Fraction(rng.randint(-10**9, 10**9), rng.choice(dens))
+                              for _ in range(d))
+                        for _ in range(d))))
+        for A in cases:
+            grid, scale = scaled_grid(A)
+            sign = -1 if A.semiring is Semiring.MAX else 1
+            want = [[None if c is None else sign * c for c in row] for row in grid]
+            assert assignment._scaled_grid(A) == (want, scale, sign)
+
+
 class TestOneSolveAgainstOracles:
     def test_duals_certify_the_optimum(self):
         for A in _oracle_inputs(101):
@@ -567,26 +616,18 @@ class TestOptimaWalk:
         assert rep.witness[0].images == tuple(range(k, d)) + tuple(range(k))
 
 
-def test_each_quantity_solves_once(monkeypatch):
+def test_each_quantity_solves_once(solve_counter):
     rng = random.Random(16)
     A = random_finite(rng, 16, 16, Semiring.MAX, lo=-50, hi=50, den=7)
     assert len(enumerate_optima(A)[0]) == 1
     tied = TropMatrix.from_rows([[0] * 7 for _ in range(7)], Semiring.MAX)
-    calls = []
-    solve = assignment._hungarian_min
-
-    def counting(grid):
-        calls.append(len(grid))
-        return solve(grid)
-
-    monkeypatch.setattr(assignment, "_hungarian_min", counting)
     for fn in (tvol, second_best, certificate, lex_optimal_permutation, parity_report,
                enumerate_optima, assignment.solve_optimal):
-        calls.clear()
+        solve_counter.clear()
         fn(A)
-        assert calls == [16], fn.__name__
+        assert solve_counter == [16], fn.__name__
     # the tied matrix takes the enumeration branch: 5040 optima, both parities
     for fn, cap in ((parity_report, 3), (parity_report, 10_000), (enumerate_optima, 3)):
-        calls.clear()
+        solve_counter.clear()
         fn(tied, cap)
-        assert calls == [7], (fn.__name__, cap)
+        assert solve_counter == [7], (fn.__name__, cap)

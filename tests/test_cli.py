@@ -193,6 +193,15 @@ def test_iso_check_on_sample(tmp_path, capsys):
     assert obj["tdiam"] == "2" and obj["tvol"] == "2"
 
 
+def test_iso_check_solves_a_standard_input_once(tmp_path, capsys, solve_counter):
+    mat = tmp_path / "m.json"
+    assert run_cli(["iso-sample", "-d", "6", "--seed", "3", "-o", str(mat)], capsys)[0] == 0
+    solve_counter.clear()
+    code, out, _ = run_cli(["iso-check", str(mat)], capsys)
+    assert code == 0 and json.loads(out)["standardized_first"] is False
+    assert solve_counter == [6]
+
+
 def test_iso_check_standardizes_first(tmp_path, capsys):
     mat, std = tmp_path / "m.json", tmp_path / "s.json"
     mat.write_text('{"semiring": "min", "data": [[3, 0, 2], [1, 4, 0], [0, 2, 5]]}')

@@ -5,7 +5,6 @@ from itertools import combinations
 
 import pytest
 
-import tropiso.assignment as assignment
 from conftest import (
     brute_optima,
     brute_qvol_plus,
@@ -232,18 +231,6 @@ class TestScanAgainstOracle:
             assert res.witness_perm.images == brute_optima(sub)[0]
 
 
-def _count_solves(monkeypatch) -> list[int]:
-    calls: list[int] = []
-    solve = assignment._hungarian_min
-
-    def counting(grid):
-        calls.append(len(grid))
-        return solve(grid)
-
-    monkeypatch.setattr(assignment, "_hungarian_min", counting)
-    return calls
-
-
 def _tied_6x18() -> TropMatrix:
     """Columns 16 and 17 are equal, so the first subset of the bar matrix
     holding both is MIXED; every earlier subset has a unique optimum."""
@@ -257,14 +244,13 @@ class TestScanWork:
 
     TIED = _tied_6x18()
 
-    def test_mixed_scan_stops_at_selection(self, monkeypatch):
-        calls = _count_solves(monkeypatch)
+    def test_mixed_scan_stops_at_selection(self, solve_counter):
         rep = sign_generic(self.TIED, bar=True)
         assert rep.verdict is ParityVerdict.MIXED
         assert rep.selection == (0, 1, 2, 3, 4, 16, 17)
         index = list(combinations(range(18), 7)).index(rep.selection)
         assert index == 77
-        assert calls == [7] * (index + 1)
+        assert solve_counter == [7] * (index + 1)
 
     def test_mixed_scan_builds_no_submatrices(self, monkeypatch):
         built = []
@@ -278,16 +264,15 @@ class TestScanWork:
         assert sign_generic(self.TIED, bar=True).verdict is ParityVerdict.MIXED
         assert len(built) <= 1
 
-    def test_same_scan_solves_each_subset_once(self, monkeypatch):
+    def test_same_scan_solves_each_subset_once(self, solve_counter):
         A = random_finite(random.Random(1), 4, 8, MAX, lo=-50, hi=50, den=7)
-        calls = _count_solves(monkeypatch)
         rep = sign_generic(A, bar=True)
         assert (rep.verdict, rep.enumerated_count) == (ParityVerdict.SAME, 56)
         assert rep.method is ParityMethod.FULL_ENUMERATION
-        assert calls == [5] * math.comb(8, 5)
-        calls.clear()
+        assert solve_counter == [5] * math.comb(8, 5)
+        solve_counter.clear()
         qvol_plus(A, compute_parity=False)
-        assert calls == [4] * math.comb(8, 4)
+        assert solve_counter == [4] * math.comb(8, 4)
 
 
 class TestQvol:
@@ -394,16 +379,15 @@ class TestDequantSlope:
             assert abs(res.slope - float(res.qvol_value)) < 0.05
             done += 1
 
-    def test_one_scan_of_each_kind(self, monkeypatch):
+    def test_one_scan_of_each_kind(self, solve_counter):
         # one bar scan (one 3x3 subset) and one qvol+ scan (three 2x2
         # subsets), whose witness also places the lift's boost
-        calls = _count_solves(monkeypatch)
         res = dequant_slope(WORKED)
-        assert calls == [3, 2, 2, 2]
+        assert solve_counter == [3, 2, 2, 2]
         assert res.qvol_value == 2
-        calls.clear()
+        solve_counter.clear()
         want = default_lift(WORKED)
-        assert calls == [2, 2, 2]
+        assert solve_counter == [2, 2, 2]
         assert [row[:2] for row in res.rows] == [
             (t, hull_volume([tuple(c) for c in zip(*lift_eval(want, t))])[0])
             for t in sorted(DEFAULT_T_GRID)]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tropiso.assignment as assignment
 from conftest import (
     D4_MATRIX,
     brute_is_near_isodiametric,
@@ -73,6 +72,14 @@ class TestToStandard:
         with pytest.raises(DomainError):
             to_standard(A, StandardVariant.MIN)
 
+    def test_one_assignment_solve(self, solve_counter):
+        B = sample_isodiametric(8, 0)
+        A = translate(B.permute(col_perm=(3, 0, 7, 1, 6, 2, 5, 4)),
+                      tuple(Fraction(i, 3) for i in range(8)), (Fraction(0),) * 8)
+        form = to_standard(A, StandardVariant.MIN)
+        assert solve_counter == [8]
+        assert form.matrix == B
+
 
 class TestCheckConditions:
     def test_family_interior_strict(self):
@@ -127,15 +134,12 @@ class TestCheckConditions:
             check_conditions(B, StandardVariant.MIN)
 
     @pytest.mark.parametrize("variant", list(StandardVariant))
-    def test_one_assignment_solve(self, variant, monkeypatch):
+    def test_one_assignment_solve(self, variant, solve_counter):
         B = sample_isodiametric(5, 0)
         A = B if variant is StandardVariant.MIN else negate_complement(B)
-        calls = []
-        solve = assignment._hungarian_min
-        monkeypatch.setattr(assignment, "_hungarian_min",
-                            lambda grid: calls.append(len(grid)) or solve(grid))
+        solve_counter.clear()  # negate_complement checks its input with a solve
         rep = check_conditions(A, variant)
-        assert calls == [5]
+        assert solve_counter == [5]
         assert rep.classification is Classification.ISODIAMETRIC
         assert rep.tvol == brute_tvol(A) == 2
 
