@@ -8,6 +8,13 @@ where tper is the max-plus assignment value of the square submatrix.  Two
 independent routes compute it: exhaustive subset enumeration, and an exact
 integral transportation linear program solved by successive shortest paths.
 
+The subset scans read tper of each subset, and its numbers of even and odd
+optima, off one lazily memoized cofactor expansion per scaled grid; for the
+bar matrix of a d x m matrix it keeps at most sum over r <= d of C(m, r)
+entries, and its d-subsets are A's, so qvol+ reads the same table.  A
+Hungarian solve is made only for a qvol+ witness and for a subset whose
+optima have both signs.
+
 When the matrix obtained by stacking a zero row on top of A is *sign
 generic* -- every maximal square submatrix has all its optimal permutations
 of one parity -- the upper and lower dequantized volumes coincide and the
@@ -74,11 +81,57 @@ def bar_matrix(A: TropMatrix) -> TropMatrix:
     return TropMatrix(Semiring.MAX, (zero_row,) + A.entries)
 
 
-def _subsets(grid: list[list[Optional[int]]], k: int, rows: bool = False):
-    """Lazily yield (selection, sliced grid) for every k-subset of the
-    columns (or rows) of an integer grid, in lexicographic order."""
-    for sel in combinations(range(len(grid) if rows else len(grid[0])), k):
-        yield sel, [grid[i] for i in sel] if rows else [[row[j] for j in sel] for row in grid]
+def _expand(grid, memo: dict, cols: tuple[int, ...], mask: int):
+    """The entry of ``cols`` (bitmask ``mask``) in ``_cofactors(grid)``."""
+    r = len(cols) - 1
+    row, best = grid[r], None
+    for p, j in enumerate(cols):
+        if row[j] is None:
+            continue
+        minor = mask ^ 1 << j
+        sub = memo[minor] if minor in memo else _expand(grid, memo, cols[:p] + cols[p + 1:], minor)
+        if sub is None:
+            continue
+        t = sub[0] + row[j]
+        if best is None or t < best:
+            best, even, odd = t, 0, 0
+        if t == best:
+            flip = (r + p) & 1
+            even += sub[1 + flip]
+            odd += sub[2 - flip]
+    res = None if best is None else (best, even, odd)
+    if r + 1 < len(grid):
+        memo[mask] = res
+    return res
+
+
+def _cofactors(grid: Sequence[Sequence[Optional[int]]]):
+    """Lazily memoized tropical Laplace expansion of an integer grid.
+
+    ``entry(S)``, S an ascending column tuple, is (least total of rows
+    0..|S|-1 on S, number of even optima, number of odd optima), or None if
+    every assignment meets a None cell.  Along row r = |S|-1 it is the best,
+    over the columns j of S at positions p, of entry(S without j) plus row
+    r's cell in j, signs turned by (-1)**(r+p) (Butkovic, *Max-linear
+    Systems*, 2010).  Subsets smaller than the row count are kept, so each
+    is expanded once; the memo is freed with ``entry``.
+    """
+    memo: dict[int, Optional[tuple[int, int, int]]] = {0: (0, 1, 0)}
+
+    def entry(cols: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
+        mask = 0
+        for j in cols:
+            mask |= 1 << j
+        return memo[mask] if mask in memo else _expand(grid, memo, cols, mask)
+
+    return entry
+
+
+def _table(A: TropMatrix, bar: bool) -> tuple:
+    """(grid, scale, sign, bar, entry): A scaled to integers once, and the
+    cofactor table of its grid, with the bar row appended when ``bar``."""
+    grid, scale, sign = _scaled_grid(A)
+    return grid, scale, sign, bar, _cofactors(grid + [[0] * A.cols] if bar else grid)
 
 
 @dataclass(frozen=True)
@@ -90,18 +143,20 @@ class QvolResult:
     sign_generic_bar: Optional[ParityVerdict]
 
 
-def _qvol_brute(A: TropMatrix) -> tuple[Entry, Optional[tuple[int, ...]], Optional[Permutation]]:
-    """One solve per column subset of one scaled grid; the first least
-    (negated) total wins."""
-    grid, scale, sign = _scaled_grid(A)
+def _qvol_brute(A: TropMatrix,
+                table: tuple) -> tuple[Entry, Optional[tuple[int, ...]], Optional[Permutation]]:
+    """The first least total over the column subsets, read off the cofactor
+    table; one solve on that subset gives the witness permutation."""
+    grid, scale, sign, _, entry = table
     best = witness = None
-    for cols, sub in _subsets(grid, A.rows):
-        sol = _solve_grid(sub, scale, sign)
-        if sol is not None and (best is None or sol.total < best.total):
-            best, witness = sol, cols
-    if best is None:
+    for cols in combinations(range(A.cols), A.rows):
+        ent = entry(cols)
+        if ent is not None and (best is None or ent[0] < best):
+            best, witness = ent[0], cols
+    if witness is None:
         return None, None, None
-    return best.value(best.total), witness, Permutation(next(_optima(best)))
+    sol = _solve_grid([[row[j] for j in witness] for row in grid], scale, sign)
+    return sol.value(sol.total), witness, Permutation(next(_optima(sol)))
 
 
 def _qvol_transport(A: TropMatrix) -> tuple[Entry, Optional[tuple[int, ...]], Optional[Permutation]]:
@@ -177,26 +232,29 @@ def _qvol_transport(A: TropMatrix) -> tuple[Entry, Optional[tuple[int, ...]], Op
     return Fraction(-total_cost, scale), cols, perm
 
 
+def _qvol_plus(A: TropMatrix, method: str, table: tuple):
+    """(value, witness columns, witness permutation) of qvol+ by ``method``."""
+    if A.cols < A.rows:
+        raise DimensionError(f"need at least as many columns as rows, got {A.rows}x{A.cols}")
+    if method not in (BRUTE_FORCE, TRANSPORT_LP):
+        raise DomainError(f"unknown method {method!r}")
+    return _qvol_brute(A, table) if method == BRUTE_FORCE else _qvol_transport(A)
+
+
 def qvol_plus(A: TropMatrix, method: str = BRUTE_FORCE,
               cap: int = DEFAULT_CAP, compute_parity: bool = True) -> QvolResult:
     """Upper dequantized tropical volume with a witness.
 
     ``method`` selects brute-force subset enumeration or the transportation
     LP; both agree exactly on every input.  The witness permutation attains
-    the assignment optimum on the witness column submatrix.
+    the assignment optimum on the witness column submatrix.  Brute force
+    reads each subset's tper off a cofactor table and solves the witness
+    only; the bar scan of ``compute_parity`` reads the same table.
     """
     _require_max(A)
-    if A.cols < A.rows:
-        raise DimensionError(
-            f"need at least as many columns as rows, got {A.rows}x{A.cols}"
-        )
-    if method == BRUTE_FORCE:
-        value, cols, perm = _qvol_brute(A)
-    elif method == TRANSPORT_LP:
-        value, cols, perm = _qvol_transport(A)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    verdict = sign_generic(A, bar=True, cap=cap).verdict if compute_parity else None
+    table = _table(A, compute_parity)
+    value, cols, perm = _qvol_plus(A, method, table)
+    verdict = _scan(table, cap).verdict if compute_parity else None
     return QvolResult(value, cols, perm, method, verdict)
 
 
@@ -208,23 +266,47 @@ def sign_generic(A: TropMatrix, bar: bool = False, cap: int = DEFAULT_CAP) -> Pa
     pair of permutations; UNKNOWN when some enumeration hit the cap.
 
     The matrix is scaled to integers once and its subsets are walked lazily
-    in lexicographic order, so a MIXED verdict stops the walk.  Each subset
-    is one Hungarian solve; a finite one whose tight digraph is acyclic has
-    a unique optimum and counts 1, the others enumerate their optima.
+    in lexicographic order, so a MIXED verdict stops the walk.  Each subset's
+    numbers of even and odd optima come from one memoized cofactor
+    expansion (at most sum over r < k of C(n, r) entries for k x n subsets);
+    only a subset with optima of both signs is solved, for its witness pair.
     """
     _require_max(A)
-    M = bar_matrix(A) if bar else A
-    grid, scale, sign = _scaled_grid(M)
+    return _scan(_table(A, bar), cap)
+
+
+def _scan(table: tuple, cap: int) -> ParityReport:
+    """``sign_generic`` on ``_table(A, bar)``.  The bar row there is last,
+    which turns every optimum of a subset by one sign; a tall matrix gets a
+    table of its transpose (inverse optima, same signs).  A subset with both
+    signs is solved on the bar-first grid it is reported on."""
+    if cap < 1:
+        raise DomainError("cap must be positive")
+    grid, scale, sign, bar, entry = table
+    M = [[0] * len(grid[0])] + grid if bar else grid
+    n, k = max(len(M), len(M[0])), min(len(M), len(M[0]))
+    tall = len(M) > len(M[0])
+    entry = _cofactors(list(zip(*M))) if tall else entry
     total, capped = 0, None
-    for sel, sub in _subsets(grid, min(M.rows, M.cols), rows=M.rows > M.cols):
+    for sel in combinations(range(n), k):
+        _, even, odd = entry(sel) or (0, 0, 0)  # an infeasible subset counts 0
+        count, mixed = even + odd, even and odd
+        if count < cap and not mixed:
+            total += count
+            continue
+        sub = [M[i] for i in sel] if tall else [[row[j] for j in sel] for row in M]
         finite = all(None not in row for row in sub)
-        rep = _parity(_solve_grid(sub, scale, sign), finite, cap)
-        total += rep.enumerated_count
-        if rep.verdict is ParityVerdict.MIXED:
-            return ParityReport(ParityVerdict.MIXED, total, rep.method,
-                                witness=rep.witness, selection=sel)
-        if rep.verdict is ParityVerdict.UNKNOWN and capped is None:
-            capped = sel
+        if mixed:
+            rep = _parity(_solve_grid(sub, scale, sign), finite, cap)
+            count = rep.enumerated_count
+            if rep.verdict is ParityVerdict.MIXED:
+                return ParityReport(ParityVerdict.MIXED, total + count, rep.method,
+                                    witness=rep.witness, selection=sel)
+            if rep.verdict is ParityVerdict.UNKNOWN:
+                capped = capped or sel
+        elif not (count == 1 and k >= 2 and finite):  # else the uniqueness shortcut
+            count, capped = cap, capped or sel
+        total += count
     if capped is not None:
         return ParityReport(ParityVerdict.UNKNOWN, total, ParityMethod.CAPPED,
                             selection=capped)
@@ -232,8 +314,11 @@ def sign_generic(A: TropMatrix, bar: bool = False, cap: int = DEFAULT_CAP) -> Pa
 
 
 def _generic_qvol_plus(A: TropMatrix, method: str, cap: int) -> QvolResult:
-    """qvol+ with its witness, after the bar scan has found A sign generic."""
-    rep = sign_generic(A, bar=True, cap=cap)
+    """qvol+ with its witness, after the bar scan has found A sign generic;
+    both read one cofactor table."""
+    _require_max(A)
+    table = _table(A, True)
+    rep = _scan(table, cap)
     if rep.verdict is ParityVerdict.MIXED:
         raise NotSignGenericError(
             f"optimal permutations of mixed parity in submatrix {rep.selection}",
@@ -244,7 +329,7 @@ def _generic_qvol_plus(A: TropMatrix, method: str, cap: int) -> QvolResult:
             f"parity enumeration capped at {cap} in submatrix {rep.selection}",
             report=rep,
         )
-    return qvol_plus(A, method=method, cap=cap, compute_parity=False)
+    return QvolResult(*_qvol_plus(A, method, table), method, rep.verdict)
 
 
 def qvol(A: TropMatrix, method: str = BRUTE_FORCE, cap: int = DEFAULT_CAP) -> Entry:
@@ -431,14 +516,15 @@ def cauchy_binet_check(B: TropMatrix, C: TropMatrix, I: Sequence[int]) -> bool:
     lhs = tper(TropMatrix(Semiring.MAX, tuple(tuple(row[j] for j in I) for row in A.entries)))
     gB, sB, sign = _scaled_grid(B)
     gC, sC, _ = _scaled_grid(C)
-    CI = [[row[j] for j in I] for row in gC]
+    left = _cofactors(gB)
+    right = _cofactors([[row[j] for row in gC] for j in I])  # C[:, I] transposed
     rhs: Entry = None
-    for K, sub in _subsets(gB, d):
-        left = _solve_grid(sub, sB, sign)
-        right = None if left is None else _solve_grid([CI[k] for k in K], sC, sign)
-        if right is None:
+    for K in combinations(range(B.cols), d):
+        lk = left(K)
+        rk = None if lk is None else right(K)
+        if rk is None:
             continue
-        cand = left.value(left.total) + right.value(right.total)
+        cand = Fraction(sign * lk[0], sB) + Fraction(sign * rk[0], sC)
         if rhs is None or cand > rhs:
             rhs = cand
     return lhs == rhs
@@ -467,8 +553,9 @@ def idempotent_measure_check(A: TropMatrix, B: TropMatrix,
         Semiring.MAX,
         tuple(ra + rb for ra, rb in zip(A.entries, B.entries)),
     )
-    if sign_generic(C, bar=True, cap=cap).verdict is not ParityVerdict.SAME:
+    table = _table(C, True)
+    if _scan(table, cap).verdict is not ParityVerdict.SAME:
         return None
-    lhs = qvol_plus(C, compute_parity=False).value
+    lhs = _qvol_plus(C, BRUTE_FORCE, table)[0]
     rhs = Semiring.MAX.combine(_qvol_value_or_bottom(A), _qvol_value_or_bottom(B))
     return lhs == rhs

@@ -241,7 +241,10 @@ def _first(violations) -> ConditionCheck:
 
 def check_conditions(A: TropMatrix, variant: StandardVariant) -> IsoReport:
     """Exact evaluation of conditions (i)-(iv) on a standard matrix; one
-    assignment solve both confirms that the identity is optimal and gives tvol."""
+    assignment solve both confirms that the identity is optimal and gives tvol.
+    They characterize tvol = tdiam at diameter 2 only: at another diameter,
+    as on the min-plus 3x3 with every off-diagonal entry 1/2 (tvol = tdiam =
+    1), tvol = tdiam is classified ``neither``."""
     return _check(A, variant, _standard_solve(A, variant))
 
 

@@ -109,6 +109,37 @@ def solve_counter(monkeypatch) -> list[int]:
     return calls
 
 
+def check_dual_certificate(grid, res) -> None:
+    """Assert that the duals of a kernel result (total, images, u, v) on an
+    integer grid (negated for max-plus, None cells forbidden) certify it:
+    g_ij - u_i - v_j >= 0 on every allowed cell, with equality on the
+    witness, and sum(u) + sum(v) equal to the total."""
+    total, images, u, v = res
+    for i, row in enumerate(grid):
+        for j, g in enumerate(row):
+            assert g is None or g - u[i] - v[j] >= 0, (grid, i, j)
+    assert all(grid[i][j] - u[i] - v[j] == 0 for i, j in enumerate(images)), grid
+    assert sum(u) + sum(v) == total == sum(grid[i][j] for i, j in enumerate(images)), grid
+
+
+@pytest.fixture
+def certified_solves(monkeypatch) -> list:
+    """Every assignment solve made while the test runs, as (grid, result);
+    each feasible result is checked with ``check_dual_certificate``."""
+    calls: list = []
+    solve = assignment._hungarian_min
+
+    def certified(grid):
+        res = solve(grid)
+        if res is not None:
+            check_dual_certificate(grid, res)
+        calls.append((grid, res))
+        return res
+
+    monkeypatch.setattr(assignment, "_hungarian_min", certified)
+    return calls
+
+
 def scaled_grid(A: TropMatrix):
     dens = {c.denominator for row in A.entries for c in row if c is not None}
     scale = math.lcm(*dens) if dens else 1

@@ -120,8 +120,8 @@ def test_qvol_methods_agree(tmp_path, capsys):
 def test_qvol_scans_the_bar_matrix_only_for_json(flags, scans, capsys, monkeypatch):
     # the bare value never reads the verdict, so only --json pays for the scan
     calls = []
-    scan = dequant.sign_generic
-    monkeypatch.setattr(dequant, "sign_generic", lambda *a, **k: calls.append(1) or scan(*a, **k))
+    scan = dequant._scan
+    monkeypatch.setattr(dequant, "_scan", lambda *a, **k: calls.append(1) or scan(*a, **k))
     inputs = [str(DEMO_DATA / "wide_A.json"), str(DEMO_DATA / "wide_B.json")]
     for method in ("brute-force", "transport-lp"):
         calls.clear()

@@ -22,11 +22,13 @@ from tropiso import (
     ParityMethod,
     ParityUnknownError,
     ParityVerdict,
+    Permutation,
     Semiring,
     TropMatrix,
     bar_matrix,
     cauchy_binet_check,
     default_lift,
+    dequant,
     dequant_slope,
     hull_volume,
     idempotent_measure_check,
@@ -186,33 +188,129 @@ class TestSignGeneric:
         assert sign_generic(A, bar=True).verdict is ParityVerdict.SAME
 
 
-def _scan_inputs(seed: int, count: int):
+def _scan_inputs(seed: int, count: int, max_rows: int = 5, max_cols: int = 9):
     """Generic rational, tied {0,1,2} and Bottom-holding max-plus matrices,
-    r <= 4 rows and c <= 7 columns, so both wide and tall bar matrices."""
+    up to ``max_rows`` x ``max_cols``, so both wide and tall bar matrices."""
     rng = random.Random(seed)
     for _ in range(count):
-        r, c = rng.randint(1, 4), rng.randint(1, 7)
+        r, c = rng.randint(1, max_rows), rng.randint(1, max_cols)
         yield random_finite(rng, r, c, MAX, lo=-4, hi=4, den=4)
         yield random_finite(rng, r, c, MAX, lo=0, hi=2, den=1)
         yield random_with_bottom(rng, r, c, MAX, p_bottom=0.25, lo=0, hi=2)
 
 
+def _table_inputs(seed: int, count: int):
+    """Max-plus matrices of r <= 5 rows and c <= 8 columns: generic
+    rationals, tied {0,1,2}, an all-equal block among distinct-ish integers,
+    and 25-40% Bottom cells with one all-Bottom column."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, c = rng.randint(1, 5), rng.randint(1, 8)
+        yield random_finite(rng, r, c, MAX, lo=-4, hi=4, den=4)
+        yield random_finite(rng, r, c, MAX, lo=0, hi=2, den=1)
+        rows = [list(row) for row in random_finite(rng, r, c, MAX, lo=-9, hi=9, den=1).entries]
+        for i in rng.sample(range(r), rng.randint(1, r)):
+            for j in rng.sample(range(c), rng.randint(1, c)):
+                rows[i][j] = Fraction(3)
+        yield TropMatrix(MAX, tuple(map(tuple, rows)))
+        B = random_with_bottom(rng, r, c, MAX, p_bottom=rng.uniform(0.25, 0.4), lo=0, hi=2)
+        dead = rng.randrange(c)
+        yield TropMatrix(MAX, tuple(tuple(None if j == dead else x for j, x in enumerate(row))
+                                    for row in B.entries))
+
+
+def _columns(A: TropMatrix, cols) -> TropMatrix:
+    return TropMatrix(MAX, tuple(tuple(row[j] for j in cols) for row in A.entries))
+
+
+class TestCofactorTable:
+    """Each entry of the memoized cofactor expansion against enumeration."""
+
+    def test_entries_match_enumeration(self):
+        rng = random.Random(812)
+        seen = set()
+        for A in _table_inputs(811, 120):
+            _, scale, sign, _, entry = dequant._table(A, bar=False)
+            subsets = [S for k in range(1, A.rows + 1) for S in combinations(range(A.cols), k)]
+            rng.shuffle(subsets)  # the lazy memo must not depend on the order of reads
+            for S in subsets:
+                sub = TropMatrix(MAX, tuple(tuple(row[j] for j in S)
+                                            for row in A.entries[:len(S)]))
+                ent, value = entry(S), brute_tper(sub)
+                assert (ent is None) is (value is None), (A, S)
+                if ent is None:
+                    continue
+                signs = [Permutation(p).parity for p in brute_optima(sub)]
+                assert Fraction(sign * ent[0], scale) == value, (A, S)
+                assert ent[1:] == (signs.count(1), signs.count(-1)), (A, S)
+                seen.add((len(S) == A.rows, bool(ent[1] and ent[2])))
+        assert len(seen) == 4  # both-sign and one-sign entries, kept and top level
+
+
 class TestScanAgainstOracle:
     """The one-grid scans against eager per-submatrix oracles."""
 
-    def test_sign_generic_report(self):
+    def test_sign_generic_report(self, certified_solves):
         def fields(r):
             witness = r.witness and tuple(p.images for p in r.witness)
             return r.verdict, r.enumerated_count, r.method, witness, r.selection
 
+        rng = random.Random(810)
         seen = set()
         for A in _scan_inputs(808, 100):
             for bar in (False, True):
-                for cap in (1, 3, 10_000):
+                M = bar_matrix(A) if bar else A
+                k = min(M.rows, M.cols)
+                picks = [sorted(rng.sample(range(max(M.rows, M.cols)), k)) for _ in range(3)]
+                subs = [_columns(M, sel) if M.rows <= M.cols else
+                        TropMatrix(MAX, tuple(M.entries[i] for i in sel)) for sel in picks]
+                exact = max(len(brute_optima(sub)) for sub in subs)  # some subset's optima
+                for cap in sorted({1, 2, 3, 10_000, max(exact, 1)}):
                     rep = sign_generic(A, bar=bar, cap=cap)
                     assert fields(rep) == fields(brute_sign_generic(A, bar, cap)), (A, bar, cap)
                     seen.add((rep.verdict, A.rows + bar > A.cols))
         assert len(seen) == 6  # every verdict, on wide and on tall inputs
+        assert any(res is not None for _, res in certified_solves)
+
+    def test_cauchy_binet(self):
+        from tropiso import trop_mat_mul
+
+        rng = random.Random(813)
+        verdicts = set()
+        for B in _scan_inputs(814, 40, max_rows=3, max_cols=6):
+            m = rng.randint(B.rows, B.rows + 2)
+            C = random_with_bottom(rng, B.cols, m, MAX, p_bottom=0.25, lo=0, hi=2)
+            I = sorted(rng.sample(range(m), B.rows))
+            lhs = brute_tper(_columns(trop_mat_mul(B, C), I))
+            rhs = None
+            for K in combinations(range(B.cols), B.rows):
+                left = brute_tper(_columns(B, K))
+                right = brute_tper(TropMatrix(MAX, tuple(tuple(C.entries[k][j] for j in I)
+                                                         for k in K)))
+                if left is not None and right is not None:
+                    rhs = MAX.combine(rhs, left + right)
+            assert cauchy_binet_check(B, C, I) is (lhs == rhs), (B, C, I)
+            verdicts.add(lhs == rhs)
+        assert verdicts == {True, False}
+
+    def test_idempotent_measure(self):
+        def qv(M):
+            return brute_qvol_plus(M) if M.cols >= M.rows else None
+
+        outcomes = set()
+        for C in _scan_inputs(815, 40, max_rows=4, max_cols=8):
+            if C.cols < max(2, C.rows):
+                continue
+            half = C.cols // 2
+            A, B = _columns(C, range(half)), _columns(C, range(half, C.cols))
+            for cap in (1, 3, 10_000):
+                out = idempotent_measure_check(A, B, cap=cap)
+                if brute_sign_generic(C, bar=True, cap=cap).verdict is not ParityVerdict.SAME:
+                    assert out is None
+                else:
+                    assert out is (qv(C) == MAX.combine(qv(A), qv(B))), (A, B, cap)
+                outcomes.add(out)
+        assert outcomes == {None, True, False}
 
     def test_qvol_plus_brute_force(self):
         for A in _scan_inputs(809, 80):
@@ -240,7 +338,8 @@ def _tied_6x18() -> TropMatrix:
 
 
 class TestScanWork:
-    """The scans solve each subset once and stop at the first MIXED one."""
+    """The scans read one cofactor table, solve only a subset whose optima
+    have both signs (and a qvol+ witness), and stop at the first MIXED one."""
 
     TIED = _tied_6x18()
 
@@ -250,7 +349,7 @@ class TestScanWork:
         assert rep.selection == (0, 1, 2, 3, 4, 16, 17)
         index = list(combinations(range(18), 7)).index(rep.selection)
         assert index == 77
-        assert solve_counter == [7] * (index + 1)
+        assert solve_counter == [7]  # the mixed subset, for its witness pair
 
     def test_mixed_scan_builds_no_submatrices(self, monkeypatch):
         built = []
@@ -264,20 +363,23 @@ class TestScanWork:
         assert sign_generic(self.TIED, bar=True).verdict is ParityVerdict.MIXED
         assert len(built) <= 1
 
-    def test_same_scan_solves_each_subset_once(self, solve_counter):
+    def test_same_scan_makes_no_solve(self, solve_counter):
         A = random_finite(random.Random(1), 4, 8, MAX, lo=-50, hi=50, den=7)
         rep = sign_generic(A, bar=True)
         assert (rep.verdict, rep.enumerated_count) == (ParityVerdict.SAME, 56)
         assert rep.method is ParityMethod.FULL_ENUMERATION
-        assert solve_counter == [5] * math.comb(8, 5)
-        solve_counter.clear()
+        assert solve_counter == []
         qvol_plus(A, compute_parity=False)
-        assert solve_counter == [4] * math.comb(8, 4)
+        assert solve_counter == [4]  # the witness subset
 
 
 class TestQvol:
     def test_worked_instance(self):
         assert qvol(WORKED) == 2
+
+    def test_min_plus_rejected(self):
+        with pytest.raises(DomainError, match="max-plus"):
+            qvol(TropMatrix.from_rows([[0, 1], [1, 0]], Semiring.MIN))
 
     def test_not_generic_raises(self):
         with pytest.raises(NotSignGenericError):
@@ -380,14 +482,15 @@ class TestDequantSlope:
             done += 1
 
     def test_one_scan_of_each_kind(self, solve_counter):
-        # one bar scan (one 3x3 subset) and one qvol+ scan (three 2x2
-        # subsets), whose witness also places the lift's boost
+        # one cofactor table serves the bar scan (one 3x3 subset, with a
+        # unique optimum) and the qvol+ scan (three 2x2 subsets); the one
+        # solve is the witness's, which also places the lift's boost
         res = dequant_slope(WORKED)
-        assert solve_counter == [3, 2, 2, 2]
+        assert solve_counter == [2]
         assert res.qvol_value == 2
         solve_counter.clear()
         want = default_lift(WORKED)
-        assert solve_counter == [2, 2, 2]
+        assert solve_counter == [2]
         assert [row[:2] for row in res.rows] == [
             (t, hull_volume([tuple(c) for c in zip(*lift_eval(want, t))])[0])
             for t in sorted(DEFAULT_T_GRID)]
