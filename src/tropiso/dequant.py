@@ -39,6 +39,7 @@ from .assignment import (
     ParityReport,
     ParityVerdict,
     Permutation,
+    _hungarian_min,
     _optima,
     _parity,
     _scaled_grid,
@@ -501,6 +502,10 @@ def cauchy_binet_check(B: TropMatrix, C: TropMatrix, I: Sequence[int]) -> bool:
     tper B[K] + tper C[K, I].  Equality needs the one-parity hypothesis:
     the optimal permutations of (B (x) C)[I] share one parity.  Without it
     only ``>=`` holds, and the check can return False.
+
+    Both sides stay on the integer grids of B and C at the scale lcm(s_B,
+    s_C): the left is one solve on the d columns I of the product, the right
+    reads the cofactor tables of B and of C[:, I] transposed.
     """
     _require_max(B)
     _require_max(C)
@@ -510,24 +515,23 @@ def cauchy_binet_check(B: TropMatrix, C: TropMatrix, I: Sequence[int]) -> bool:
     I = tuple(I)
     if len(I) != d or not all(0 <= j < C.cols for j in I):
         raise DimensionError("I must select d distinct columns of the product")
-    from .core import trop_mat_mul
-
-    A = trop_mat_mul(B, C)
-    lhs = tper(TropMatrix(Semiring.MAX, tuple(tuple(row[j] for j in I) for row in A.entries)))
-    gB, sB, sign = _scaled_grid(B)
+    gB, sB, _ = _scaled_grid(B)
     gC, sC, _ = _scaled_grid(C)
-    left = _cofactors(gB)
-    right = _cofactors([[row[j] for row in gC] for j in I])  # C[:, I] transposed
-    rhs: Entry = None
+    scale = math.lcm(sB, sC)
+    fB, fC = scale // sB, scale // sC
+    rows = [[None if b is None else b * fB for b in row] for row in gB]
+    cols = [[None if row[j] is None else row[j] * fC for row in gC] for j in I]
+    product = [[min((b + c for b, c in zip(row, col) if b is not None and c is not None),
+                    default=None) for col in cols] for row in rows]
+    lhs = _hungarian_min(product)
+    left, right = _cofactors(rows), _cofactors(cols)
+    rhs = None
     for K in combinations(range(B.cols), d):
         lk = left(K)
         rk = None if lk is None else right(K)
-        if rk is None:
-            continue
-        cand = Fraction(sign * lk[0], sB) + Fraction(sign * rk[0], sC)
-        if rhs is None or cand > rhs:
-            rhs = cand
-    return lhs == rhs
+        if rk is not None and (rhs is None or lk[0] + rk[0] < rhs):
+            rhs = lk[0] + rk[0]
+    return (None if lhs is None else lhs[0]) == rhs
 
 
 def _qvol_value_or_bottom(A: TropMatrix) -> Entry:

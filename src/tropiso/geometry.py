@@ -1,8 +1,12 @@
 """Exact convex-hull measures in ambient dimension 1, 2 and 3.
 
-Volumes are computed over exact rationals (float inputs are embedded
-exactly), so the results feed directly into exact comparisons.  Alongside
-the measure, each call reports the number of maximal cells of the
+The points are scaled once to integers by the lcm of their denominators
+(floats embed exactly), every test runs on those integers, and one division
+at the end gives an exact ``Fraction``.  In dimension 3 the facets come from
+gift wrapping (Chand & Kapur, "An algorithm for convex polytopes", JACM
+1970): each edge of each facet polygon is pivoted to the adjacent facet
+plane in one pass over the points, O(m * E) integer operations for E hull
+edges.  Each call also reports the number of maximal cells of the
 triangulation it used: a fan from one hull vertex over the hull faces not
 containing it, which triangulates a segment into 1 cell, a convex h-gon
 into h - 2 triangles, and a tetrahedron into a single cell.
@@ -10,8 +14,8 @@ into h - 2 triangles, and a tetrahedron into a single cell.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .core import as_rational
@@ -37,43 +41,53 @@ def _coerce_points(points: Sequence[Sequence]) -> list[Point]:
     return pts
 
 
-def _affine_rank(pts: list[Point]) -> int:
-    base = pts[0]
-    vecs = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
-    rank = 0
-    cols = len(base)
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(vecs)) if vecs[r][col] != 0), None)
-        if piv is None:
-            continue
-        vecs[rank], vecs[piv] = vecs[piv], vecs[rank]
-        pv = vecs[rank][col]
-        vecs[rank] = [x / pv for x in vecs[rank]]
-        for r in range(len(vecs)):
-            if r != rank and vecs[r][col] != 0:
-                f = vecs[r][col]
-                vecs[r] = [a - f * b for a, b in zip(vecs[r], vecs[rank])]
-        rank += 1
-        if rank == cols:
-            break
-    return rank
+def _scaled_points(pts: list[Point]) -> tuple[list[tuple[int, ...]], int]:
+    """(sorted distinct integer points, scale): pts times the lcm of their denominators."""
+    dens = {c.denominator for p in pts for c in p}
+    scale = math.lcm(*dens)
+    factor = {q: scale // q for q in dens}
+    return sorted({tuple(c.numerator * factor[c.denominator] for c in p) for p in pts}), scale
 
 
-def _cross2(o: Point, a: Point, b: Point) -> Fraction:
+def _sub(p, q) -> tuple:
+    return p[0] - q[0], p[1] - q[1], p[2] - q[2]
+
+
+def _cross3(u, v) -> tuple:
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _affine_rank(pts) -> int:
+    """Affine rank of points in R^k, k <= 3, from cross and triple products
+    of their differences: exact on integers and rationals, with no division."""
+    vecs = [tuple(c - b for c, b in zip(p, pts[0])) + (0,) * (3 - len(p)) for p in pts[1:]]
+    u = next((v for v in vecs if any(v)), None)
+    if u is None:
+        return 0
+    n = next((w for w in (_cross3(u, v) for v in vecs) if any(w)), None)
+    if n is None:
+        return 1
+    return 3 if any(_dot(n, v) for v in vecs) else 2
+
+
+def _cross2(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull_2d(points: Sequence[Sequence]) -> list[Point]:
-    """Strict convex hull in counterclockwise order (monotone chain)."""
-    pts = sorted(set(tuple(as_rational(c) for c in p) for p in points))
+def _chain(pts: list) -> list:
+    """Strict convex hull of sorted distinct 2-D points, counterclockwise."""
     if len(pts) <= 2:
         return pts
-    lower: list[Point] = []
+    lower: list = []
     for p in pts:
         while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[Point] = []
+    upper: list = []
     for p in reversed(pts):
         while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
             upper.pop()
@@ -81,71 +95,73 @@ def convex_hull_2d(points: Sequence[Sequence]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
-def _cross3(u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+def convex_hull_2d(points: Sequence[Sequence]) -> list[Point]:
+    """Strict convex hull in counterclockwise order (monotone chain)."""
+    return _chain(sorted(set(tuple(as_rational(c) for c in p) for p in points)))
 
 
-def _dot(u, v) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
+def _pivot(pts: list, a: tuple, e: tuple) -> tuple:
+    """Turn a supporting plane (outward normal n) about the line a + t*e in
+    it, whose points lie on the line or in direction n x e from it, to the
+    point q with det(e, q - a, p - a) >= 0 for every point p; the plane
+    through the line and q has outward normal (q - a) x e."""
+    q = c = None
+    for p in pts:
+        r = _sub(p, a)
+        if c is None or _dot(c, r) < 0:
+            w = _cross3(e, r)
+            if any(w):
+                q, c = p, w
+    return q
 
 
-def _hull_facet_planes(pts: list[Point]) -> dict:
-    """Outward-oriented supporting planes spanned by point triples.
-
-    Returns {normalized (n, c): [points on the plane]} with n . p <= c for
-    every input point.
-    """
-    planes: dict[tuple, list[Point]] = {}
-    for a, b, c in combinations(range(len(pts)), 3):
-        n = _cross3(
-            tuple(x - y for x, y in zip(pts[b], pts[a])),
-            tuple(x - y for x, y in zip(pts[c], pts[a])),
-        )
-        if n == (0, 0, 0):
-            continue
-        off = _dot(n, pts[a])
-        sides = [_dot(n, p) - off for p in pts]
-        if all(s <= 0 for s in sides):
-            pass
-        elif all(s >= 0 for s in sides):
-            n = tuple(-x for x in n)
-            off = -off
-        else:
-            continue
-        lead = next(x for x in n if x != 0)
-        f = abs(lead)
-        key = tuple(x / f for x in n) + (off / f,)
-        if key not in planes:
-            planes[key] = [p for p in pts if _dot(key[:3], p) == key[3]]
-    return planes
+def _plane(n: tuple, p: tuple) -> tuple:
+    """(normal over its gcd, offset) of the plane through p."""
+    g = math.gcd(*n)
+    n = (n[0] // g, n[1] // g, n[2] // g)
+    return n, _dot(n, p)
 
 
-def _volume_3d(pts: list[Point]) -> HullMeasure:
-    planes = _hull_facet_planes(pts)
-    apex = min(pts)
-    vol = Fraction(0)
-    cells = 0
-    for key, facet_pts in planes.items():
-        normal, off = key[:3], key[3]
-        if _dot(normal, apex) == off:
-            continue  # facet contains the apex of the fan
-        axis = max(range(3), key=lambda t: abs(normal[t]))
-        keep = [t for t in range(3) if t != axis]
-        proj = {(p[keep[0]], p[keep[1]]): p for p in facet_pts}
-        ring = convex_hull_2d(list(proj))
-        poly = [proj[q] for q in ring]
-        for t in range(1, len(poly) - 1):
-            u = tuple(x - y for x, y in zip(poly[0], apex))
-            v = tuple(x - y for x, y in zip(poly[t], apex))
-            w = tuple(x - y for x, y in zip(poly[t + 1], apex))
-            det = _dot(u, _cross3(v, w))
-            vol += abs(det)
-            cells += 1
-    return HullMeasure(vol / 6, cells)
+def _volume_3d(pts: list) -> tuple[int, int]:
+    """(6 * volume, cells) of full-dimensional sorted distinct integer points.
+
+    The plane x = x_min through the least point, turned about the z axis
+    through it and then about the edge found, until its points span a plane,
+    is the first facet.  Each facet polygon runs counterclockwise seen from
+    outside, so the facet across its edge a -> b runs it as b -> a."""
+    apex = pts[0]
+    n, e = (-1, 0, 0), (0, 0, 1)
+    face = [p for p in pts if p[0] == apex[0]]
+    while _affine_rank(face) < 2:
+        q = _pivot(pts, apex, e)
+        n, e = _cross3(_sub(q, apex), e), _sub(q, apex)
+        face = [p for p in pts if _dot(n, _sub(p, apex)) == 0]
+    todo = [_plane(n, apex)]
+    facets, crossed = set(todo), set()
+    vol = cells = 0
+    while todo:
+        n, off = todo.pop()
+        axis = max(range(3), key=lambda t: abs(n[t]))
+        u, v = (axis + 1) % 3, (axis + 2) % 3
+        proj = {(p[u], p[v]): p for p in pts if _dot(n, p) == off}
+        ring = [proj[q] for q in _chain(sorted(proj))]
+        if n[axis] < 0:
+            ring.reverse()
+        if _dot(n, apex) != off:  # else the facet contains the apex of the fan
+            for t in range(1, len(ring) - 1):
+                vol += abs(_dot(_sub(ring[0], apex),
+                                _cross3(_sub(ring[t], apex), _sub(ring[t + 1], apex))))
+                cells += 1
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            if (a, b) in crossed:
+                continue
+            crossed.add((b, a))
+            e = _sub(b, a)
+            key = _plane(_cross3(_sub(_pivot(pts, a, e), a), e), a)
+            if key not in facets:
+                facets.add(key)
+                todo.append(key)
+    return vol, cells
 
 
 def hull_volume(points: Sequence[Sequence]) -> HullMeasure:
@@ -155,16 +171,15 @@ def hull_volume(points: Sequence[Sequence]) -> HullMeasure:
     fan triangulation used.  Configurations of affine dimension below the
     ambient dimension yield (0, 0).
     """
-    pts = sorted(set(_coerce_points(points)))
+    pts, scale = _scaled_points(_coerce_points(points))
     k = len(pts[0])
     if len(pts) <= k or _affine_rank(pts) < k:
         return HullMeasure(Fraction(0), 0)
     if k == 1:
-        return HullMeasure(pts[-1][0] - pts[0][0], 1)
+        return HullMeasure(Fraction(pts[-1][0] - pts[0][0], scale), 1)
     if k == 2:
-        hull = convex_hull_2d(pts)
-        area = Fraction(0)
-        for t in range(1, len(hull) - 1):
-            area += _cross2(hull[0], hull[t], hull[t + 1])
-        return HullMeasure(abs(area) / 2, len(hull) - 2)
-    return _volume_3d(pts)
+        hull = _chain(pts)
+        area = sum(_cross2(hull[0], hull[t], hull[t + 1]) for t in range(1, len(hull) - 1))
+        return HullMeasure(Fraction(abs(area), 2 * scale ** 2), len(hull) - 2)
+    vol, cells = _volume_3d(pts)
+    return HullMeasure(Fraction(vol, 6 * scale ** 3), cells)

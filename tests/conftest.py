@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the library's solver paths:
 assignment values come from full permutation enumeration, qvol from full
 column-subset enumeration, polytrope vertices from rational elimination over
-every square subsystem of the inequalities.  Rational entries are scaled to
+every square subsystem of the inequalities, hull volumes from every point
+triple that spans a supporting plane.  Rational entries are scaled to
 integers first, which keeps the enumeration exact and fast.  Kleene-star
 checks, facets and incidences stay on ``Fraction`` entries, the arithmetic the
 library no longer uses for them.  Three oracles lean on library pieces:
@@ -321,6 +322,98 @@ def brute_sign_generic(A: TropMatrix, bar: bool = False, cap: int = 10_000):
     return ParityReport(ParityVerdict.SAME, total, ParityMethod.FULL_ENUMERATION)
 
 
+def brute_affine_rank(pts) -> int:
+    """Affine rank of rational points by Gauss-Jordan elimination in Fractions."""
+    vecs = [[Fraction(c) - Fraction(b) for c, b in zip(p, pts[0])] for p in pts[1:]]
+    rank = 0
+    for col in range(len(pts[0])):
+        piv = next((r for r in range(rank, len(vecs)) if vecs[r][col] != 0), None)
+        if piv is None:
+            continue
+        vecs[rank], vecs[piv] = vecs[piv], vecs[rank]
+        pv = vecs[rank][col]
+        vecs[rank] = [x / pv for x in vecs[rank]]
+        for r in range(len(vecs)):
+            if r != rank and vecs[r][col] != 0:
+                f = vecs[r][col]
+                vecs[r] = [a - f * b for a, b in zip(vecs[r], vecs[rank])]
+        rank += 1
+    return rank
+
+
+def _brute_ring(pts):
+    """Strict convex hull of sorted distinct 2-D points, counterclockwise,
+    from every ordered pair: (p, q) is an edge when no point lies right of
+    it and every point on its line lies between p and q."""
+    nxt = {}
+    for p, q in permutations(pts, 2):
+        turns = [(q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]) for r in pts]
+        if min(turns) >= 0 and all(min(p, q) <= r <= max(p, q)
+                                   for r, t in zip(pts, turns) if t == 0):
+            nxt[p] = q
+    ring = [pts[0]]
+    while nxt.get(ring[-1], ring[0]) != ring[0]:
+        ring.append(nxt[ring[-1]])
+    return ring
+
+
+def brute_hull_volume(points):
+    """(volume, cells) of the hull of points in R^1, R^2 or R^3, with the
+    fan from the least point that ``hull_volume`` reports.  In R^3 every
+    point triple spanning a plane with all points on one side, and some
+    off it, is a facet; each facet's polygon and the 2-D hull come from
+    ``_brute_ring``.  The points are scaled to integers first."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    pts = sorted({tuple(int(c * scale) for c in p) for p in pts})
+    k = len(pts[0])
+    if k == 1:
+        return Fraction(pts[-1][0] - pts[0][0], scale), int(len(pts) > 1)
+    if k == 2:
+        ring = _brute_ring(pts)
+        if len(ring) < 3:
+            return Fraction(0), 0
+        area = sum((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+                   for a, b, c in zip([ring[0]] * len(ring), ring[1:], ring[2:]))
+        return Fraction(area, 2 * scale ** 2), len(ring) - 2
+
+    def sub(p, q):
+        return p[0] - q[0], p[1] - q[1], p[2] - q[2]
+
+    def cross(u, v):
+        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    planes = {}
+    for a, b, c in combinations(pts, 3):
+        n = cross(sub(b, a), sub(c, a))
+        off = dot(n, a)
+        sides = [dot(n, p) - off for p in pts]
+        if max(sides) > 0 and min(sides) < 0 or not any(sides):
+            continue
+        if max(sides) > 0:
+            n, off = tuple(-x for x in n), -off
+        g = math.gcd(*n)
+        key = tuple(x // g for x in n), off // g
+        if key not in planes:
+            planes[key] = [p for p in pts if dot(n, p) == off]
+    apex = pts[0]
+    vol = cells = 0
+    for (n, off), face in planes.items():
+        if dot(n, apex) == off:
+            continue
+        axis = max(range(3), key=lambda t: abs(n[t]))
+        keep = [t for t in range(3) if t != axis]
+        proj = {(p[keep[0]], p[keep[1]]): p for p in face}
+        ring = [proj[q] for q in _brute_ring(sorted(proj))]
+        for t in range(1, len(ring) - 1):
+            vol += abs(dot(sub(ring[0], apex), cross(sub(ring[t], apex), sub(ring[t + 1], apex))))
+            cells += 1
+    return Fraction(vol, 6 * scale ** 3), cells
+
+
 def _solve_square(rows, rhs):
     """Unique solution of a square rational system, or None if singular."""
     n = len(rhs)
@@ -430,6 +523,22 @@ def brute_is_near_isodiametric(B: TropMatrix) -> bool:
             if not 2 <= ent[a][b] + ent[b][c] + ent[c][a] <= 4:
                 return False
     return True
+
+
+def box_with_filling(rng, lo, hi, count):
+    """The 8 corners of the integer box [lo, hi], then ``count`` points in
+    it, shuffled: each point's coordinates are drawn in the box, and zero,
+    one or two of them are pinned to a bound, which puts it inside the box,
+    on a face or on an edge."""
+    pts = [(x, y, z) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+    for _ in range(count):
+        pins = rng.randint(0, 2)
+        p = [rng.randint(a, b) for a, b in zip(lo, hi)]
+        for t in rng.sample(range(3), pins):
+            p[t] = rng.choice((lo[t], hi[t]))
+        pts.append(tuple(p))
+    rng.shuffle(pts)
+    return pts
 
 
 def random_finite(rng: random.Random, rows: int, cols: int, semiring: Semiring,

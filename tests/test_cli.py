@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import D4_MATRIX, family3, unit_matrix
+from conftest import D4_MATRIX, box_with_filling, family3, unit_matrix
 from tropiso import Semiring, dequant, save_matrix
 from tropiso.cli import build_parser, main
 
@@ -269,6 +270,18 @@ def test_bound_check(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["holds"] is True and obj["volume"] == "2" and obj["alpha"] == 1
+
+
+def test_bound_check_on_a_filled_box(tmp_path, capsys):
+    # 80 columns: the corners of a box and points inside it, on its faces and
+    # on its edges; a hull that tried every point triple would take minutes
+    pts = box_with_filling(random.Random(80), (1, 2, 3), (9, 7, 12), 72)
+    a = tmp_path / "box.json"
+    a.write_text(json.dumps([[p[i] for p in pts] for i in range(3)]))
+    code, out, _ = run_cli(["bound-check", str(a)], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["volume"] == str(8 * 5 * 9) and obj["alpha"] == 6 and obj["holds"] is True
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

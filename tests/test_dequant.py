@@ -656,6 +656,36 @@ class TestCauchyBinet:
             verdicts.add(expected)
         assert verdicts == {True, False}
 
+    def test_scales_and_bottom_against_oracle(self):
+        # B and C drawn on disjoint denominator sets, so their integer grids
+        # mostly have different scales, with Bottom cells in either factor;
+        # both verdicts occur
+        from tropiso import trop_mat_mul
+
+        def draw(rows, cols, dens, p_bottom):
+            return TropMatrix(MAX, tuple(
+                tuple(None if rng.random() < p_bottom
+                      else Fraction(rng.randint(0, 2 * q), q) for q in rng.choices(dens, k=cols))
+                for _ in range(rows)))
+
+        rng = random.Random(609)
+        seen = set()
+        for _ in range(300):
+            d = rng.randint(1, 3)
+            p = rng.randint(d, 5)
+            m = rng.randint(d, 4)
+            dens_b, dens_c = rng.choice((((2, 3), (5, 7)), ((4,), (5,)), ((1,), (7,))))
+            bottom_in_b = rng.random() < 0.5
+            B = draw(d, p, dens_b, 0.25 if bottom_in_b else 0)
+            C = draw(p, m, dens_c, 0 if bottom_in_b else 0.25)
+            cols = sorted(rng.sample(range(m), d))
+            sub = TropMatrix(MAX, tuple(tuple(r[c] for c in cols)
+                                        for r in trop_mat_mul(B, C).entries))
+            expected = brute_tper(sub) == self._rhs(B, C, cols)
+            assert cauchy_binet_check(B, C, cols) is expected, (B, C, cols)
+            seen.add((bottom_in_b, expected))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
     def test_mixed_parity_counterexample(self):
         # one dominant column of B feeds both rows, so the best
         # factorization reuses it and the selection formula undershoots

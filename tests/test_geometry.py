@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tropiso import DomainError, hull_volume
-from tropiso.geometry import convex_hull_2d
+from conftest import box_with_filling, brute_affine_rank, brute_hull_volume
+from tropiso import DomainError, Semiring, TropMatrix, default_lift, hull_volume, lift_eval
+from tropiso.geometry import _affine_rank, convex_hull_2d
 
 
 class TestHull2D:
@@ -105,3 +106,82 @@ def test_dimension_guard():
 def test_float_inputs_embed_exactly():
     vol, cells = hull_volume([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)])
     assert vol == Fraction(1, 8) and cells == 1
+
+
+def _differential_sets(seed: int):
+    """(label, points) for the hull differential test: random sets with
+    duplicates and ties, all points but one on a plane, collinear points on
+    facet edges, denominators 1, 3 and 7, floats, lifted huge integers, and
+    1-D and 2-D inputs."""
+    rng = random.Random(seed)
+    for _ in range(700):
+        k = rng.choice((1, 2, 3, 3, 3))
+        den = rng.choice((1, 3, 7))
+        hi = rng.choice((1, 2, 4, 9))
+        pts = [tuple(Fraction(rng.randint(0, hi * den), den) for _ in range(k))
+               for _ in range(rng.randint(4, 14))]
+        pts += rng.sample(pts, rng.randint(0, 3))  # duplicates
+        yield f"random/{k}d/den{den}", pts
+    for _ in range(150):
+        k = rng.choice((2, 3))
+        pts = [tuple(rng.randint(0, 12) / 4 for _ in range(k)) for _ in range(rng.randint(4, 14))]
+        yield "float", pts
+    for _ in range(300):
+        o, u, v = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(3))
+        pts = [tuple(o[i] + s * u[i] + t * v[i] for i in range(3))
+               for s, t in ((rng.randint(-2, 2), rng.randint(-2, 2))
+                            for _ in range(rng.randint(3, 13)))]
+        pts.append(tuple(rng.randint(-5, 5) for _ in range(3)))  # may land on the plane
+        rng.shuffle(pts)
+        yield "coplanar-but-one", pts
+    for _ in range(300):
+        corners = [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(rng.randint(4, 8))]
+        pts = list(corners)
+        for _ in range(rng.randint(1, 6)):  # points on segments between corners
+            a, b = rng.sample(corners, 2)
+            k = rng.randint(0, 3)
+            pts.append(tuple(Fraction(a[i] * (3 - k) + b[i] * k, 3) for i in range(3)))
+        rng.shuffle(pts)
+        yield "on-edges", pts
+    for _ in range(50):
+        yield "box", box_with_filling(rng, (0, 0, 0), tuple(rng.randint(1, 4) for _ in range(3)),
+                                       rng.randint(0, 6))
+    for _ in range(50):
+        m = rng.randint(4, 7)
+        A = TropMatrix.from_rows([[rng.randint(0, 6) for _ in range(m)] for _ in range(3)],
+                                 Semiring.MAX)
+        mat = lift_eval(default_lift(A), 10 ** 6)
+        yield "lift-1e6", [tuple(mat[i][j] for i in range(3)) for j in range(A.cols)]
+
+
+def test_hull_matches_triple_scan_oracle():
+    sets = degenerate = 0
+    for label, pts in _differential_sets(2024):
+        got = hull_volume(pts)
+        assert tuple(got) == brute_hull_volume(pts), (label, pts)
+        sets += 1
+        degenerate += got.volume == 0
+    assert sets >= 1500
+    assert degenerate >= 25  # rank-deficient sets are exercised too
+
+
+def test_affine_rank_matches_elimination():
+    rng = random.Random(77)
+    ranks = set()
+    for _ in range(400):
+        k = rng.randint(1, 3)
+        den = rng.choice((1, 3, 7))
+        pts = [tuple(Fraction(rng.randint(0, 2 * den), den) for _ in range(k))
+               for _ in range(rng.randint(1, 6))]
+        scaled = [tuple(int(c * 21) for c in p) for p in pts]
+        assert _affine_rank(pts) == _affine_rank(scaled) == brute_affine_rank(pts), pts
+        ranks.add(_affine_rank(pts))
+    assert ranks == {0, 1, 2, 3}
+
+
+def test_box_of_160_points():
+    # the corners of a box plus 152 points inside it, on its faces and on its
+    # edges; a hull that tried every point triple would take minutes here
+    pts = box_with_filling(random.Random(160), (2, 1, 3), (9, 5, 11), 152)
+    assert len(pts) == 160
+    assert hull_volume(pts) == (7 * 4 * 8, 6)
