@@ -5,14 +5,13 @@ all optimal permutations, the second-best assignment value, the tropical
 volume (gap between best and second best), and parity analysis of the set
 of optimal permutations.
 
-The solver is a shortest-augmenting-path Hungarian method run on exact
-integers: rational entries are scaled by the common denominator, so every
-comparison is exact and knife-edge ties are preserved.  Bottom entries are
-excluded arcs (forbidden assignment cells).  Duals are updated lazily, once
-per augmentation (Jonker & Volgenant 1987), and each step scans only the
-free columns, ascending, with strict tie-breaks; the augmentations, and so
-the optimum, the duals and every witness, are those of the eager method
-that updates every column at every step.
+The solver is a shortest-augmenting-path Hungarian method run on the integer
+grid of ``core._scaled_grid``: every comparison is exact and knife-edge ties
+are preserved.  Bottom entries are excluded arcs (forbidden assignment
+cells).  Duals are updated lazily, once per augmentation (Jonker & Volgenant
+1987), and each step scans only the free columns, ascending, with strict
+tie-breaks; the augmentations, and so the optimum, the duals and every
+witness, are those of the eager method that updates every column each step.
 
 Every quantity reads one solve and its duals u, v: a permutation costs the
 optimum plus its reduced costs g_ij - u_i - v_j >= 0, so the optima are the
@@ -26,7 +25,6 @@ lex-smallest optimum, and enumeration and parity read it as far as they need.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,7 +32,7 @@ from heapq import heappop, heappush
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .core import Entry, Semiring, TropMatrix, require_finite, require_square
+from .core import Entry, TropMatrix, _scaled_grid, require_finite, require_square
 from .errors import DimensionError, DomainError
 
 DEFAULT_CAP = 10_000
@@ -164,19 +162,6 @@ def _hungarian_min(grid: list[list[Optional[int]]]):
     for j, r in enumerate(match):
         images[r] = j
     return sum(grid[r][images[r]] for r in range(n)), tuple(images), u, v
-
-
-def _scaled_grid(A: TropMatrix) -> tuple[list[list[Optional[int]]], int, int]:
-    """(grid, scale, sign): A times the common denominator, negated for max-plus."""
-    dens = {cell.denominator for row in A.entries for cell in row if cell is not None}
-    scale = math.lcm(*dens) if dens else 1
-    sign = -1 if A.semiring is Semiring.MAX else 1
-    factor = {q: sign * (scale // q) for q in dens}
-    grid = [
-        [None if cell is None else cell.numerator * factor[cell.denominator] for cell in row]
-        for row in A.entries
-    ]
-    return grid, scale, sign
 
 
 def _solve_grid(grid: list, scale: int, sign: int) -> Optional[_Solution]:

@@ -7,10 +7,14 @@ addition and absorbing for tropical multiplication.
 
 All matrices are immutable and every operation is a pure function, so values
 can be shared freely between threads or processes.
+
+Every layer builds its integer grids with ``_scaled`` here: cells times the
+lcm of their denominators, Bottom kept as None.  ``tdiam`` runs on one too.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -217,17 +221,40 @@ def tdist(v: Sequence, w: Sequence) -> Fraction:
     return max(diffs) - min(diffs)
 
 
+def _scaled(rows: Sequence[Sequence], sign: int = 1) -> tuple[list[list[Optional[int]]], int]:
+    """(grid, scale): ``sign`` times the cells times the lcm of their
+    denominators, Bottom kept as None; the rows may differ in length."""
+    dens = {cell.denominator for row in rows for cell in row if cell is not None}
+    scale = math.lcm(*dens)
+    factor = {q: sign * (scale // q) for q in dens}
+    grid = [
+        [None if cell is None else cell.numerator * factor[cell.denominator] for cell in row]
+        for row in rows
+    ]
+    return grid, scale
+
+
+def _scaled_grid(A: TropMatrix) -> tuple[list[list[Optional[int]]], int, int]:
+    """(grid, scale, sign): A times the common denominator, negated for max-plus."""
+    sign = -1 if A.semiring is Semiring.MAX else 1
+    return (*_scaled(A.entries, sign), sign)
+
+
+def _diameter(grid: list[list[int]], scale: int) -> Fraction:
+    """tdiam of a finite square grid over ``scale``, negated or not."""
+    best = 0
+    for i, v in enumerate(grid):
+        for w in grid[i + 1:]:
+            diffs = [a - b for a, b in zip(v, w)]
+            best = max(best, max(diffs) - min(diffs))
+    return Fraction(best, scale)
+
+
 def tdiam(A: TropMatrix) -> Fraction:
     """Tropical diameter: largest pairwise tropical distance between rows."""
     require_square(A)
     require_finite(A)
-    best = Fraction(0)
-    for i in range(A.rows):
-        for j in range(i + 1, A.rows):
-            d = tdist(A.row(i), A.row(j))
-            if d > best:
-                best = d
-    return best
+    return _diameter(*_scaled(A.entries))
 
 
 def trop_add(A: TropMatrix, B: TropMatrix) -> TropMatrix:

@@ -30,7 +30,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from .assignment import (
@@ -42,11 +42,10 @@ from .assignment import (
     _hungarian_min,
     _optima,
     _parity,
-    _scaled_grid,
     _solve_grid,
     solve_optimal,
 )
-from .core import Entry, Semiring, TropMatrix, as_rational, require_square
+from .core import Entry, Semiring, TropMatrix, _scaled, _scaled_grid, as_rational, require_square
 from .errors import (
     DegenerateHullError,
     DimensionError,
@@ -144,16 +143,22 @@ class QvolResult:
     sign_generic_bar: Optional[ParityVerdict]
 
 
+def _least(entry, subsets) -> tuple[Optional[int], Optional[tuple[int, ...]]]:
+    """(least total, first subset attaining it) over ``subsets`` of ``entry``."""
+    best = witness = None
+    for cols in subsets:
+        ent = entry(cols)
+        if ent is not None and (best is None or ent[0] < best):
+            best, witness = ent[0], cols
+    return best, witness
+
+
 def _qvol_brute(A: TropMatrix,
                 table: tuple) -> tuple[Entry, Optional[tuple[int, ...]], Optional[Permutation]]:
     """The first least total over the column subsets, read off the cofactor
     table; one solve on that subset gives the witness permutation."""
     grid, scale, sign, _, entry = table
-    best = witness = None
-    for cols in combinations(range(A.cols), A.rows):
-        ent = entry(cols)
-        if ent is not None and (best is None or ent[0] < best):
-            best, witness = ent[0], cols
+    _, witness = _least(entry, combinations(range(A.cols), A.rows))
     if witness is None:
         return None, None, None
     sol = _solve_grid([[row[j] for j in witness] for row in grid], scale, sign)
@@ -503,9 +508,9 @@ def cauchy_binet_check(B: TropMatrix, C: TropMatrix, I: Sequence[int]) -> bool:
     the optimal permutations of (B (x) C)[I] share one parity.  Without it
     only ``>=`` holds, and the check can return False.
 
-    Both sides stay on the integer grids of B and C at the scale lcm(s_B,
-    s_C): the left is one solve on the d columns I of the product, the right
-    reads the cofactor tables of B and of C[:, I] transposed.
+    Both sides stay on one integer grid of B stacked on C, at their common
+    scale: the left is one solve on the d columns I of the product, the
+    right reads the cofactor tables of B and of C[:, I] transposed.
     """
     _require_max(B)
     _require_max(C)
@@ -515,12 +520,9 @@ def cauchy_binet_check(B: TropMatrix, C: TropMatrix, I: Sequence[int]) -> bool:
     I = tuple(I)
     if len(I) != d or not all(0 <= j < C.cols for j in I):
         raise DimensionError("I must select d distinct columns of the product")
-    gB, sB, _ = _scaled_grid(B)
-    gC, sC, _ = _scaled_grid(C)
-    scale = math.lcm(sB, sC)
-    fB, fC = scale // sB, scale // sC
-    rows = [[None if b is None else b * fB for b in row] for row in gB]
-    cols = [[None if row[j] is None else row[j] * fC for row in gC] for j in I]
+    grid, _ = _scaled(B.entries + C.entries, -1)
+    rows = grid[:d]
+    cols = [[row[j] for row in grid[d:]] for j in I]
     product = [[min((b + c for b, c in zip(row, col) if b is not None and c is not None),
                     default=None) for col in cols] for row in rows]
     lhs = _hungarian_min(product)
@@ -534,20 +536,13 @@ def cauchy_binet_check(B: TropMatrix, C: TropMatrix, I: Sequence[int]) -> bool:
     return (None if lhs is None else lhs[0]) == rhs
 
 
-def _qvol_value_or_bottom(A: TropMatrix) -> Entry:
-    """qvol+ value, treating matrices with fewer columns than rows as Bottom."""
-    if A.cols < A.rows:
-        return None
-    return qvol_plus(A, compute_parity=False).value
-
-
 def idempotent_measure_check(A: TropMatrix, B: TropMatrix,
                              cap: int = DEFAULT_CAP) -> Optional[bool]:
     """qvol of a union equals the max of the parts, under sign-genericity.
 
     Returns True/False for the exact comparison, or None (skip) when the
     concatenation's bar matrix is not sign generic so the left side is not
-    defined.
+    defined.  Both sides read the cofactor table of the concatenation.
     """
     _require_max(A)
     _require_max(B)
@@ -560,6 +555,8 @@ def idempotent_measure_check(A: TropMatrix, B: TropMatrix,
     table = _table(C, True)
     if _scan(table, cap).verdict is not ParityVerdict.SAME:
         return None
-    lhs = _qvol_plus(C, BRUTE_FORCE, table)[0]
-    rhs = Semiring.MAX.combine(_qvol_value_or_bottom(A), _qvol_value_or_bottom(B))
-    return lhs == rhs
+    if C.cols < C.rows:
+        raise DimensionError(f"need at least as many columns as rows, got {C.rows}x{C.cols}")
+    d, a, entry = C.rows, A.cols, table[4]
+    parts = chain(combinations(range(a), d), combinations(range(a, C.cols), d))
+    return _least(entry, combinations(range(C.cols), d))[0] == _least(entry, parts)[0]

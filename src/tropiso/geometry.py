@@ -1,15 +1,15 @@
 """Exact convex-hull measures in ambient dimension 1, 2 and 3.
 
-The points are scaled once to integers by the lcm of their denominators
-(floats embed exactly), every test runs on those integers, and one division
-at the end gives an exact ``Fraction``.  In dimension 3 the facets come from
-gift wrapping (Chand & Kapur, "An algorithm for convex polytopes", JACM
-1970): each edge of each facet polygon is pivoted to the adjacent facet
-plane in one pass over the points, O(m * E) integer operations for E hull
-edges.  Each call also reports the number of maximal cells of the
-triangulation it used: a fan from one hull vertex over the hull faces not
-containing it, which triangulates a segment into 1 cell, a convex h-gon
-into h - 2 triangles, and a tetrahedron into a single cell.
+The points are scaled once to the integer grid ``core`` builds (floats
+embed exactly), every test runs on those integers, and one division at the
+end gives an exact ``Fraction``.  In dimension 3 the facets come from gift
+wrapping (Chand & Kapur, "An algorithm for convex polytopes", JACM 1970):
+each edge of each facet polygon is pivoted to the adjacent facet plane in
+one pass over the points, O(m * E) integer operations for E hull edges.
+Each call also reports the number of maximal cells of the triangulation it
+used: a fan from one hull vertex over the hull faces not containing it,
+which triangulates a segment into 1 cell, a convex h-gon into h - 2
+triangles, and a tetrahedron into a single cell.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import as_rational
+from .core import _scaled, as_rational
 from .errors import DimensionError, DomainError
 
 Point = tuple[Fraction, ...]
@@ -39,14 +39,6 @@ def _coerce_points(points: Sequence[Sequence]) -> list[Point]:
     if k not in (1, 2, 3):
         raise DomainError(f"hull volume implemented for dimension <= 3, got {k}")
     return pts
-
-
-def _scaled_points(pts: list[Point]) -> tuple[list[tuple[int, ...]], int]:
-    """(sorted distinct integer points, scale): pts times the lcm of their denominators."""
-    dens = {c.denominator for p in pts for c in p}
-    scale = math.lcm(*dens)
-    factor = {q: scale // q for q in dens}
-    return sorted({tuple(c.numerator * factor[c.denominator] for c in p) for p in pts}), scale
 
 
 def _sub(p, q) -> tuple:
@@ -171,7 +163,8 @@ def hull_volume(points: Sequence[Sequence]) -> HullMeasure:
     fan triangulation used.  Configurations of affine dimension below the
     ambient dimension yield (0, 0).
     """
-    pts, scale = _scaled_points(_coerce_points(points))
+    grid, scale = _scaled(_coerce_points(points))
+    pts = sorted(set(map(tuple, grid)))
     k = len(pts[0])
     if len(pts) <= k or _affine_rank(pts) < k:
         return HullMeasure(Fraction(0), 0)

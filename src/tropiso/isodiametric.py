@@ -35,9 +35,9 @@ from .assignment import _cheapest_cycle, _optima, _solve, _Solution
 from .core import (
     Semiring,
     TropMatrix,
+    _diameter,
     require_finite,
     require_square,
-    tdiam,
     translate,
 )
 from .errors import DomainError, SamplerLimitError
@@ -241,7 +241,7 @@ def _first(violations) -> ConditionCheck:
 
 def check_conditions(A: TropMatrix, variant: StandardVariant) -> IsoReport:
     """Exact evaluation of conditions (i)-(iv) on a standard matrix; one
-    assignment solve both confirms that the identity is optimal and gives tvol.
+    solve confirms that the identity is optimal, and its grid gives tvol and tdiam.
     They characterize tvol = tdiam at diameter 2 only: at another diameter,
     as on the min-plus 3x3 with every off-diagonal entry 1/2 (tvol = tdiam =
     1), tvol = tdiam is classified ``neither``."""
@@ -271,7 +271,7 @@ def _check(A: TropMatrix, variant: StandardVariant, sol: Optional[_Solution]) ->
     conds = (_first(r.scan_i(ent)), _first(r.scan_ii(ent)), _first(r.scan_iii(ent)),
              _first(abc for abc, s in touching if not lo <= s <= hi))
     iso = all(c.holds for c in conds)
-    return IsoReport(variant, *conds, not touching, tdiam(A),
+    return IsoReport(variant, *conds, not touching, _diameter(sol.grid, sol.scale),
                      Fraction(_cheapest_cycle(sol), sol.scale),
                      Classification.ISODIAMETRIC if iso else Classification.NEITHER)
 

@@ -7,24 +7,22 @@ polytope (a polytrope) whenever the Kleene star of B is finite.  This module
 computes the star, the irredundant facets, the exact vertex set, facet/vertex
 incidences, membership tests, and an SVG rendering of the planar case.
 
-All geometry is exact and runs on integers scaled by a common denominator:
-the star check, the facets and the vertex walk along 0/1 edge vectors.  The
-walk records which inequalities are tight at each vertex, and facet
-incidences and simplicity are read off those records.
+All geometry is exact and runs on the integer grid ``core`` builds (cells
+times a common denominator): the star check, the facets and the vertex walk
+along 0/1 edge vectors.  The walk records which inequalities are tight at
+each vertex, and facet incidences and simplicity are read off those records.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import eq, sub
 from typing import Optional, Sequence
 
-from .assignment import _scaled_grid
-from .core import Semiring, TropMatrix, as_vector, require_square
+from .core import Semiring, TropMatrix, _scaled, _scaled_grid, as_vector, require_square
 from .errors import (
     DimensionError,
     DomainError,
@@ -277,12 +275,11 @@ def enumerate_vertices(hrep: Sequence[tuple[int, int, Fraction]],
     (i, j) is bounded once the system is closed.  Vertices come out sorted.
     """
     _require_dim(d)
-    scale = math.lcm(*(b.denominator for _, _, b in hrep))
+    bounds, scale = _scaled([[b] for _, _, b in hrep])
     s: list[list[Optional[int]]] = [
         [0 if i == j else None for j in range(d)] for i in range(d)
     ]
-    for i, j, b in hrep:
-        w = b.numerator * (scale // b.denominator)
+    for (i, j, _), (w,) in zip(hrep, bounds):
         if s[i][j] is None or w < s[i][j]:
             s[i][j] = w
     if not _close(s):

@@ -7,10 +7,12 @@ every square subsystem of the inequalities, hull volumes from every point
 triple that spans a supporting plane.  Rational entries are scaled to
 integers first, which keeps the enumeration exact and fast.  Kleene-star
 checks, facets and incidences stay on ``Fraction`` entries, the arithmetic the
-library no longer uses for them.  Three oracles lean on library pieces:
-``brute_sign_generic`` checks the scan around the public ``parity_report``
-(which ``TestParityReport`` checks against ``brute_optima``), not the report
-itself; ``brute_cheapest_cycle`` reads one solve's duals (which
+library no longer uses for them.  Four oracles lean on library pieces:
+``brute_tdiam`` is the ``Fraction`` loop over the public ``tdist`` that
+``tdiam`` ran before it read the integer grid; ``brute_sign_generic`` checks
+the scan around the public ``parity_report`` (which ``TestParityReport``
+checks against ``brute_optima``), not the report itself;
+``brute_cheapest_cycle`` reads one solve's duals (which
 ``TestOneSolveAgainstOracles`` certifies) and closes them by all-pairs paths;
 and ``dfs_optima``, the optima walk the library used before it pruned dead
 ends, reads the same solve's tight columns and tries every unused one at each
@@ -36,6 +38,7 @@ from tropiso import (
     TropMatrix,
     assignment,
     parity_report,
+    tdist,
 )
 
 
@@ -149,6 +152,15 @@ def scaled_grid(A: TropMatrix):
         for row in A.entries
     ]
     return grid, scale
+
+
+def brute_tdiam(A: TropMatrix) -> Fraction:
+    """Largest ``tdist`` over pairs of rows, in ``Fraction`` arithmetic."""
+    best = Fraction(0)
+    for i in range(A.rows):
+        for j in range(i + 1, A.rows):
+            best = max(best, tdist(A.row(i), A.row(j)))
+    return best
 
 
 def brute_assignment_values(A: TropMatrix):

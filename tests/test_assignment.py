@@ -460,24 +460,6 @@ class TestKernelAgainstReference:
                 check_dual_certificate(grid, res)
         assert infeasible > 0
 
-    def test_scaled_grid(self):
-        rng = random.Random(20)
-        dens = (1, 2, 9, 10**6, 10**9 + 7)
-        cases = [TropMatrix(sr, ((None, None), (None, None))) for sr in Semiring]
-        for d in range(1, 9):
-            for sr in Semiring:
-                for _ in range(10):
-                    cases.append(TropMatrix(sr, tuple(
-                        tuple(None if rng.random() < 0.2 else
-                              Fraction(rng.randint(-10**9, 10**9), rng.choice(dens))
-                              for _ in range(d))
-                        for _ in range(d))))
-        for A in cases:
-            grid, scale = scaled_grid(A)
-            sign = -1 if A.semiring is Semiring.MAX else 1
-            want = [[None if c is None else sign * c for c in row] for row in grid]
-            assert assignment._scaled_grid(A) == (want, scale, sign)
-
 
 class TestOneSolveAgainstOracles:
     def test_duals_certify_the_optimum(self):

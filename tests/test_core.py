@@ -1,11 +1,15 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_tvol, random_finite, unit_matrix, family3
+import tropiso.core as core
+from conftest import brute_tdiam, brute_tvol, random_finite, scaled_grid, unit_matrix, family3
 from tropiso import (
     BottomEntryError,
     DimensionError,
@@ -22,6 +26,15 @@ from tropiso import (
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=16)
+DENOMINATORS = (1, 2, 9, 10**6, 10**9 + 7)
+
+
+def random_cells(rng, n, p_bottom=0.0):
+    """n cells, Bottom with probability ``p_bottom``, else a signed rational
+    over one of ``DENOMINATORS``."""
+    return tuple(None if rng.random() < p_bottom else
+                 Fraction(rng.randint(-10**9, 10**9), rng.choice(DENOMINATORS))
+                 for _ in range(n))
 
 
 class TestSemiring:
@@ -125,6 +138,76 @@ class TestTdiam:
     def test_rejects_bottom(self):
         with pytest.raises(BottomEntryError):
             tdiam(TropMatrix.from_rows([[0, None], [0, 0]], Semiring.MIN))
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(25)
+        for d in range(1, 9):
+            for sr in Semiring:
+                for _ in range(12):
+                    A = TropMatrix(sr, tuple(random_cells(rng, d) for _ in range(d)))
+                    assert tdiam(A) == brute_tdiam(A), A
+
+
+class TestScaledGrid:
+    """The one integer-grid encoding: cells times the lcm of their
+    denominators, Bottom kept as None, negated for max-plus."""
+
+    def test_scaled_grid(self):
+        rng = random.Random(20)
+        cases = [TropMatrix(sr, ((None, None), (None, None))) for sr in Semiring]
+        for d in range(1, 9):
+            for sr in Semiring:
+                for _ in range(10):
+                    cases.append(TropMatrix(sr, tuple(random_cells(rng, d, 0.2)
+                                                      for _ in range(d))))
+        for A in cases:
+            grid, scale = scaled_grid(A)
+            sign = -1 if A.semiring is Semiring.MAX else 1
+            want = [[None if c is None else sign * c for c in row] for row in grid]
+            assert core._scaled_grid(A) == (want, scale, sign)
+
+    def test_scaled_rows(self):
+        rng = random.Random(21)
+        cases = [((None, None), (None,)), ((None,) * 3,) * 2]
+        for _ in range(200):  # B stacked on C, as the Cauchy-Binet check scales them
+            d, n, m = rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 6)
+            cases.append(tuple(random_cells(rng, n, 0.2) for _ in range(d))
+                         + tuple(random_cells(rng, m, 0.2) for _ in range(n)))
+        for _ in range(50):
+            cases.append(tuple(tuple(Fraction(rng.uniform(-1e6, 1e6)) for _ in range(3))
+                               for _ in range(rng.randint(1, 5))))
+        cases.append(((Fraction(0.1), Fraction(2.5e-8)), (Fraction(-1e300),)))
+        for rows in cases:
+            grid, scale = scaled_grid(SimpleNamespace(entries=rows))
+            for sign in (1, -1):
+                want = [[None if c is None else sign * c for c in row] for row in grid]
+                assert core._scaled(rows, sign) == (want, scale), rows
+            assert core._scaled(rows) == (grid, scale)
+
+    def test_encoding_lives_in_core(self):
+        """``math.lcm`` is called only by the grid routine and by the
+        transportation LP (the independent qvol+ route), and the layers that
+        read the grid take it from ``core``, not from ``assignment``."""
+        lcm_calls, imports = set(), {}
+        for path in sorted(Path(core.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            imports[path.stem] = {  # modules, and names imported from them
+                name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None)] + [a.name for a in node.names]}
+            parent = {child: node for node in ast.walk(tree)
+                      for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "math":
+                    assert "lcm" not in {a.name for a in node.names}, path.name
+                if (isinstance(node, ast.Attribute) and node.attr == "lcm"
+                        and isinstance(node.value, ast.Name) and node.value.id == "math"):
+                    fn = parent.get(node)
+                    while fn is not None and not isinstance(fn, ast.FunctionDef):
+                        fn = parent.get(fn)
+                    lcm_calls.add((path.stem, fn and fn.name))
+        assert lcm_calls == {("core", "_scaled"), ("dequant", "_qvol_transport")}
+        for stem in ("polytrope", "geometry"):
+            assert not {m for m in imports[stem] if m and m.endswith("assignment")}, stem
 
 
 class TestTropMatMul:

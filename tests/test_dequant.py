@@ -312,6 +312,19 @@ class TestScanAgainstOracle:
                 outcomes.add(out)
         assert outcomes == {None, True, False}
 
+    def test_idempotent_measure_error_order(self):
+        """Rows are checked first, then the bar scan, then the union's width."""
+        A, B = mk([[1], [4], [0]]), mk([[2], [0], [3]])
+        assert sign_generic(mk([[1, 2], [4, 0], [0, 3]]), bar=True).verdict is ParityVerdict.SAME
+        with pytest.raises(DimensionError,
+                           match="^need at least as many columns as rows, got 3x2$"):
+            idempotent_measure_check(A, B)
+        assert idempotent_measure_check(mk([[3], [3], [3]]), mk([[1], [0], [3]])) is None
+        with pytest.raises(DimensionError, match="same number of rows"):
+            idempotent_measure_check(mk([[1], [4]]), B)
+        with pytest.raises(DimensionError, match="same number of rows"):
+            idempotent_measure_check(mk([[3], [3]]), mk([[1], [0], [3]]))
+
     def test_qvol_plus_brute_force(self):
         for A in _scan_inputs(809, 80):
             if A.cols < A.rows:

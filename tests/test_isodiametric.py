@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     D4_MATRIX,
     brute_is_near_isodiametric,
+    brute_tdiam,
     brute_tvol,
     family3,
     random_finite,
@@ -30,6 +31,7 @@ from tropiso import (
     is_standard,
     negate_complement,
     sample_isodiametric,
+    standardize_and_check,
     tdiam,
     to_standard,
     translate,
@@ -142,6 +144,28 @@ class TestCheckConditions:
         assert solve_counter == [5]
         assert rep.classification is Classification.ISODIAMETRIC
         assert rep.tvol == brute_tvol(A) == 2
+
+    @pytest.mark.parametrize("variant", list(StandardVariant))
+    def test_tdiam_matches_fraction_oracle(self, variant):
+        """The diameter read off the solve's grid, on standard forms and on
+        inputs that ``standardize_and_check`` must standardize first."""
+        rng = random.Random(26)
+        dens = (1, 2, 9, 10**6, 10**9 + 7)
+        cases = [sample_isodiametric(d, seed) for d in range(3, 7) for seed in range(2)]
+        if variant is StandardVariant.MAX:
+            cases = [negate_complement(B) for B in cases]
+        for d in range(2, 9):
+            for _ in range(8):
+                cases.append(TropMatrix(variant.semiring, tuple(
+                    tuple(Fraction(rng.randint(-10**9, 10**9), rng.choice(dens))
+                          for _ in range(d)) for _ in range(d))))
+        for A in cases:
+            S = to_standard(A, variant).matrix
+            want = brute_tdiam(A)
+            assert brute_tdiam(S) == want
+            assert check_conditions(S, variant).tdiam == want, A
+            assert standardize_and_check(A, variant)[1].tdiam == want, A
+            assert standardize_and_check(S, variant) == (False, check_conditions(S, variant))
 
 
 class TestConverse:
