@@ -4,6 +4,8 @@ One subcommand per library operation, JSON in/out (CSV accepted for
 matrices).  Every run with identical flags, inputs and seed produces
 byte-identical primary output.  Library errors exit with code 1 and a
 single-line message ``ERROR:<kind>: ...``; usage errors exit with code 2.
+Each handler imports the library module it runs, so a process loads only
+what its subcommand needs, and building the parser loads none.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import json
 import os
 import sys
 
-from . import dequant, isodiametric, polytrope
-from .assignment import DEFAULT_CAP, tdet, tvol
 from .core import Semiring, TropMatrix, as_rational, tdist, tdiam
 from .errors import DomainError, FormatError, TropicalError
 from .matio import (
@@ -52,6 +52,7 @@ def _scalar(value, sr: Semiring = Semiring.MAX) -> str:
 
 def _cap(args) -> int:
     """``--cap``, else ``TROPISO_CAP``, else the default; it must be positive."""
+    from .assignment import DEFAULT_CAP
     env = os.environ.get("TROPISO_CAP")
     try:
         cap = int(args.cap if args.cap is not None else env or DEFAULT_CAP)
@@ -77,6 +78,7 @@ def _cmd_tdiam(args) -> int:
 
 
 def _cmd_tdet(args) -> int:
+    from .assignment import tdet
     A = load_matrix(args.matrix, _semiring(args.semiring))
     value, perm = tdet(A)
     if args.format == "json":
@@ -91,12 +93,14 @@ def _cmd_tdet(args) -> int:
 
 
 def _cmd_tvol(args) -> int:
+    from .assignment import tvol
     A = load_matrix(args.matrix, _semiring(args.semiring))
     print(_scalar(tvol(A)))
     return 0
 
 
 def _cmd_standardize(args) -> int:
+    from . import isodiametric
     A = load_matrix(args.matrix, _semiring(args.semiring))
     variant = isodiametric.StandardVariant(args.variant or A.semiring.value)
     form = isodiametric.to_standard(A, variant)
@@ -113,6 +117,7 @@ def _cmd_standardize(args) -> int:
 
 
 def _cmd_iso_check(args) -> int:
+    from . import isodiametric
     A = load_matrix(args.matrix, _semiring(args.semiring))
     variant = isodiametric.StandardVariant(args.variant or A.semiring.value)
     standardized, report = isodiametric.standardize_and_check(A, variant)
@@ -140,6 +145,7 @@ def _cmd_iso_check(args) -> int:
 
 
 def _cmd_iso_sample(args) -> int:
+    from . import isodiametric
     B = isodiametric.sample_isodiametric(args.dim, args.seed,
                                          require_strict=args.strict)
     _emit(_matrix_text(B, args.format), args.output)
@@ -147,6 +153,7 @@ def _cmd_iso_sample(args) -> int:
 
 
 def _cmd_kleene(args) -> int:
+    from . import polytrope
     A = load_matrix(args.matrix, _semiring(args.semiring) or Semiring.MIN)
     star = polytrope.kleene_star(A)
     _emit(_matrix_text(star, args.format), args.output)
@@ -154,6 +161,7 @@ def _cmd_kleene(args) -> int:
 
 
 def _cmd_polytrope(args) -> int:
+    from . import polytrope
     A = load_matrix(args.matrix, _semiring(args.semiring) or Semiring.MIN)
     P = polytrope.build_polytrope(A)
     # render first, so that a matrix the SVG cannot show fails before any output
@@ -165,6 +173,7 @@ def _cmd_polytrope(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import polytrope
     A = load_matrix(args.matrix, _semiring(args.semiring) or Semiring.MIN)
     P = polytrope.build_polytrope(A)
     _emit(polytrope.render_svg(P), args.svg)
@@ -172,6 +181,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_qvol(args) -> int:
+    from . import dequant
     cap = _cap(args)
     parts = []  # emitted once, so -o receives every input's result
     for path in args.matrix:
@@ -197,6 +207,7 @@ def _cmd_qvol(args) -> int:
 
 
 def _cmd_sign_generic(args) -> int:
+    from . import dequant
     A = load_matrix(args.matrix, _semiring(args.semiring))
     rep = dequant.sign_generic(A, bar=not args.no_bar, cap=_cap(args))
     obj = {
@@ -210,6 +221,7 @@ def _cmd_sign_generic(args) -> int:
 
 
 def _cmd_dequant_slope(args) -> int:
+    from . import dequant
     A = load_matrix(args.matrix, _semiring(args.semiring))
     grid = dequant.DEFAULT_T_GRID
     if args.t_grid:
@@ -229,6 +241,7 @@ def _cmd_dequant_slope(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
+    from . import dequant
     rows = load_plain_matrix(args.matrix)
     rep = dequant.volume_bound_check(rows)
     _emit(_jdump({
@@ -242,8 +255,9 @@ def _cmd_bound_check(args) -> int:
 
 
 def _cmd_paper_suite(args) -> int:
+    from .paper_suite import CHECKS
     failures = 0
-    for name, fn in _PAPER_SUITE:
+    for name, fn in CHECKS:
         try:
             ok, detail = fn()
         except TropicalError as exc:  # a check crashing counts as failure
@@ -251,7 +265,7 @@ def _cmd_paper_suite(args) -> int:
         status = "PASS" if ok else "FAIL"
         print(f"{status}  {name:40s} {detail}")
         failures += 0 if ok else 1
-    print(f"{len(_PAPER_SUITE) - failures}/{len(_PAPER_SUITE)} checks passed")
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return 0 if failures == 0 else 1
 
 
@@ -321,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
             "semiring", "output", nargs="+")
     p.add_argument("--cap", type=int, help="enumeration cap (or env TROPISO_CAP); it acts "
                    "only with --json or --require-generic")
-    p.add_argument("--method", choices=[dequant.BRUTE_FORCE, dequant.TRANSPORT_LP],
-                   default=dequant.BRUTE_FORCE)
+    # dequant.BRUTE_FORCE and TRANSPORT_LP, spelled out so the parser imports nothing
+    p.add_argument("--method", choices=["brute-force", "transport-lp"],
+                   default="brute-force")
     p.add_argument("--require-generic", action="store_true",
                    help="error out unless the bar matrix is sign generic")
     p.add_argument("--json", action="store_true",
@@ -353,153 +368,6 @@ def main(argv=None) -> int:
     except TropicalError as exc:
         sys.stderr.write(f"ERROR:{exc.kind}: {exc.message}\n")
         return 1
-
-
-# ---------------------------------------------------------------------------
-# reference checks (also reachable as `tropiso paper-suite`)
-
-def _unit(d: int, sr: Semiring) -> TropMatrix:
-    return TropMatrix.from_rows(
-        [[1 if i == j else 0 for j in range(d)] for i in range(d)], sr
-    )
-
-
-def _family(lam) -> TropMatrix:
-    lam = as_rational(lam)
-    return TropMatrix.from_rows(
-        [[0, 1, 1], [1, 0, lam], [1, 2 - lam, 0]], Semiring.MIN
-    )
-
-
-_D4 = TropMatrix.from_rows(
-    [[0, 1, 1, 1],
-     [1, 0, "5/4", "3/4"],
-     [1, "3/4", 0, "5/4"],
-     [1, "5/4", "3/4", 0]],
-    Semiring.MIN,
-)
-
-_LAMBDAS = (0, "1/2", 1, "3/2", 2)
-
-
-def _chk_unit_diameter():
-    bad = [d for d in range(2, 11) if tdiam(_unit(d, Semiring.MAX)) != 2]
-    return not bad, f"d=2..10 (violations: {bad})"
-
-
-def _chk_unit_volume():
-    bad = [d for d in range(2, 9) if tvol(_unit(d, Semiring.MAX)) != 2]
-    return not bad, f"d=2..8 (violations: {bad})"
-
-
-def _chk_family_metrics():
-    ok = all(tdiam(_family(l)) == 2 and tvol(_family(l)) == 2 for l in _LAMBDAS)
-    return ok, "tdiam = tvol = 2 across the family"
-
-
-def _chk_family_idempotent():
-    from .core import trop_mat_mul
-
-    ok = all(trop_mat_mul(_family(l), _family(l)) == _family(l) for l in _LAMBDAS)
-    return ok, "B (x) B = B across the family"
-
-
-def _chk_family_kleene():
-    ok = all(polytrope.kleene_star(_family(l)) == _family(l) for l in _LAMBDAS)
-    return ok, "Kleene star fixes the family"
-
-
-def _chk_family_conditions():
-    ok = True
-    for l in _LAMBDAS:
-        rep = isodiametric.check_conditions(_family(l), isodiametric.StandardVariant.MIN)
-        ok &= rep.classification is isodiametric.Classification.ISODIAMETRIC
-        ok &= isodiametric.converse_check(_family(l), isodiametric.StandardVariant.MIN)
-    return ok, "conditions hold and converse check passes"
-
-
-def _chk_sampler_family_shape():
-    ok = True
-    for seed in range(5):
-        B = isodiametric.sample_isodiametric(3, seed)
-        lam = B.entries[1][2]
-        ok &= B == _family(lam)
-    return ok, "3x3 samples have the one-parameter family shape"
-
-
-def _chk_free_parameters():
-    ok = (isodiametric.free_parameter_count(3) == 1
-          and isodiametric.free_parameter_count(5) == 6)
-    return ok, "parameter counts 1 (d=3) and 6 (d=5)"
-
-
-def _chk_d4_facets():
-    P = polytrope.build_polytrope(_D4)
-    return len(P.irredundant) == 12, f"{len(P.irredundant)} irredundant facets"
-
-
-def _chk_d4_profile():
-    P = polytrope.build_polytrope(_D4)
-    got = sorted(P.facet_profile.values())
-    want = [4, 4, 4, 5, 5, 5, 5, 5, 5, 6, 6, 6]
-    return got == want, f"profile {got}"
-
-
-def _chk_d4_hexagons():
-    on = polytrope.facet_incidence(polytrope.build_polytrope(_D4))
-    hexes = [f for f, vs in on.items() if len(vs) == 6]
-    pairs = [(f, g) for a, f in enumerate(hexes) for g in hexes[a + 1:]
-             if len(on[f] & on[g]) >= 2]
-    return not pairs, f"3 hexagons, {len(pairs)} adjacent pairs"
-
-
-def _chk_hexagon_markers():
-    P = polytrope.build_polytrope(_family(1))
-    svg = polytrope.render_svg(P)
-    reds = svg.count('fill="red"')
-    whites = svg.count('fill="white"')
-    ok = len(P.vertices) == 6 and reds == 3 and whites == 3
-    return ok, f"6 vertices, {reds} red + {whites} white markers"
-
-
-def _chk_degenerate_generators():
-    ok = True
-    for l in (0, 2):
-        P = polytrope.build_polytrope(_family(l))
-        mask = polytrope.nonredundant_generator_mask(_family(l))
-        cols = {
-            (c[1] - c[0], c[2] - c[0])
-            for j, c in enumerate(map(_family(l).col, range(3)))
-            if mask[j]
-        }
-        ok &= cols == set(P.vertices)
-    return ok, "generator markers coincide with the vertices at the ends"
-
-
-def _chk_qvol_values():
-    A = TropMatrix.from_rows([[0, 0, 0], [0, 0, 0]], Semiring.MAX)
-    B = TropMatrix.from_rows([[0, -1, -2], [0, -2, -4]], Semiring.MAX)
-    va = dequant.qvol_plus(A, compute_parity=False).value
-    vb = dequant.qvol_plus(B, compute_parity=False).value
-    return (va, vb) == (0, -1), f"values {va}, {vb}"
-
-
-_PAPER_SUITE = [
-    ("unit-matrix-diameter", _chk_unit_diameter),
-    ("unit-matrix-volume", _chk_unit_volume),
-    ("family-metrics", _chk_family_metrics),
-    ("family-idempotent", _chk_family_idempotent),
-    ("family-kleene-fixed", _chk_family_kleene),
-    ("family-conditions", _chk_family_conditions),
-    ("sampler-family-shape", _chk_sampler_family_shape),
-    ("free-parameter-count", _chk_free_parameters),
-    ("d4-facet-count", _chk_d4_facets),
-    ("d4-facet-profile", _chk_d4_profile),
-    ("d4-hexagon-adjacency", _chk_d4_hexagons),
-    ("hexagon-markers", _chk_hexagon_markers),
-    ("degenerate-generators", _chk_degenerate_generators),
-    ("qvol-upper-values", _chk_qvol_values),
-]
 
 
 if __name__ == "__main__":

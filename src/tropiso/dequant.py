@@ -27,7 +27,6 @@ polytope volumes.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
@@ -53,7 +52,6 @@ from .errors import (
     NotSignGenericError,
     ParityUnknownError,
 )
-from .geometry import hull_volume
 
 DEFAULT_T_GRID = (100, 1_000, 10_000, 100_000, 1_000_000)
 
@@ -421,6 +419,8 @@ def dequant_slope(A: TropMatrix, t_grid: Sequence = DEFAULT_T_GRID,
     log volume against log t (plus the raw ratio at the largest t).  The
     slope estimate converges to the dequantized volume.
     """
+    import statistics
+    from .geometry import hull_volume
     _require_max(A)
     if A.rows > 3:
         raise DomainError("slope experiment implemented for at most 3 rows")
@@ -472,6 +472,7 @@ def volume_bound_check(rows: Sequence[Sequence]) -> BoundReport:
     number compared with relative slack ``BOUND_SLACK``.  A False verdict
     would be a disproof candidate and is reported with full data.
     """
+    from .geometry import hull_volume
     grid = [[as_rational(c) for c in row] for row in rows]
     d = len(grid)
     if d > 3:

@@ -201,14 +201,24 @@ def to_standard(A: TropMatrix, variant: StandardVariant) -> StandardForm:
     and tropical volume are preserved exactly.  One solve: the offsets shift
     every permutation alike, so the trace ends at the optimum plus their sum.
     """
+    return _standard_form(A, variant, _standardizable_solve(A, variant))
+
+
+def _standardizable_solve(A: TropMatrix, variant: StandardVariant) -> _Solution:
+    """The assignment solve of A, once A is square, finite and over the
+    variant's semiring."""
     require_square(A)
     require_finite(A)
     if A.semiring is not variant.semiring:
         raise DomainError(
             f"{variant.value}-standardization needs a {variant.semiring.value}-plus matrix"
         )
+    return _solve(A)
+
+
+def _standard_form(A: TropMatrix, variant: StandardVariant, sol: _Solution) -> StandardForm:
+    """``to_standard`` given ``_standardizable_solve(A, variant)``."""
     d = A.rows
-    sol = _solve(A)
     sigma = next(_optima(sol))
     trail: list[Move] = [("col_perm", sigma)]
     B = A.permute(col_perm=sigma)
@@ -245,22 +255,25 @@ def check_conditions(A: TropMatrix, variant: StandardVariant) -> IsoReport:
     They characterize tvol = tdiam at diameter 2 only: at another diameter,
     as on the min-plus 3x3 with every off-diagonal entry 1/2 (tvol = tdiam =
     1), tvol = tdiam is classified ``neither``."""
+    require_square(A)
+    require_finite(A)
     return _check(A, variant, _standard_solve(A, variant))
 
 
 def standardize_and_check(A: TropMatrix, variant: StandardVariant) -> tuple[bool, IsoReport]:
     """Whether A had to be standardized first, and ``check_conditions`` of its
-    standard form.  A standard input costs one assignment solve."""
-    sol = _standard_solve(A, variant)
-    if sol is None:
-        return True, check_conditions(to_standard(A, variant).matrix, variant)
-    return False, _check(A, variant, sol)
+    standard form.  Any input costs one assignment solve: the standard form
+    differs from A by a column permutation and row and column offsets, which
+    leave tdiam and tvol as read off A's solve."""
+    sol = _standardizable_solve(A, variant)
+    if _standard_shape(A, variant) and sol.value(sol.total) == _trace(A):
+        return False, _check(A, variant, sol)
+    return True, _check(_standard_form(A, variant, sol).matrix, variant, sol)
 
 
 def _check(A: TropMatrix, variant: StandardVariant, sol: Optional[_Solution]) -> IsoReport:
-    """``check_conditions`` given ``_standard_solve(A, variant)``."""
-    require_square(A)
-    require_finite(A)
+    """``check_conditions`` of a square finite A given ``_standard_solve(A, variant)``,
+    or the solve of a matrix whose standard form A is."""
     if A.rows < 2:
         raise DomainError("condition system needs dimension >= 2")
     if sol is None:

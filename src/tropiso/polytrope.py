@@ -29,7 +29,6 @@ from .errors import (
     NegativeCycleError,
     UnboundedPolytopeError,
 )
-from .isodiametric import is_near_isodiametric
 from .matio import format_scalar
 
 # facet identifier (i, j) = inequality x_i - x_j <= star[i][j], indices 0-based
@@ -375,6 +374,7 @@ def tconv_membership(B: TropMatrix, x: Sequence) -> bool:
     polyhedron of B, so membership reduces to checking every inequality
     (modulo the all-ones line, which the differences quotient out).
     """
+    from .isodiametric import is_near_isodiametric
     if not is_near_isodiametric(B):
         raise DomainError("membership test requires a near-isodiametric matrix")
     xv = as_vector(x)

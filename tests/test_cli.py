@@ -150,6 +150,47 @@ def test_qvol_help_says_where_cap_acts(capsys):
             "or --require-generic") in text
 
 
+def test_qvol_method_choices_are_the_library_names():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a.choices, dict)).choices
+    method = next(a for a in subparsers["qvol"]._actions if a.dest == "method")
+    assert tuple(method.choices) == (dequant.BRUTE_FORCE, dequant.TRANSPORT_LP)
+    assert method.default == dequant.BRUTE_FORCE
+
+
+_LOADED = """
+import contextlib, io, sys
+import tropiso.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        tropiso.cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(*sorted(m[8:] for m in sys.modules if m.startswith("tropiso.")))
+"""
+
+
+def _loaded(*argv):
+    """The tropiso submodules a child process holds after ``main(argv)``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    return set(proc.stdout.split())
+
+
+def test_each_subcommand_loads_only_what_it_runs():
+    unit3, generic = str(DEMO_DATA / "unit3.json"), str(DEMO_DATA / "generic_4x4.json")
+    front = {"cli", "core", "errors", "matio"}
+    compute = {"assignment", "dequant", "geometry", "isodiametric", "polytrope"}
+    assert _loaded("tvol", unit3) == front | {"assignment"}
+    assert _loaded("tdiam", unit3) == front
+    assert not _loaded("--help") & compute
+    assert not _loaded("qvol", "--help") & compute
+    assert not _loaded("kleene", generic) & (compute - {"polytrope"})
+    assert not _loaded("qvol", str(DEMO_DATA / "wide_A.json")) & {
+        "geometry", "isodiametric", "polytrope"}
+
+
 def test_sign_generic_verdict(tmp_path, capsys):
     a = tmp_path / "a.json"
     a.write_text('{"semiring": "max", "data": [[0, 0], [0, 0]]}')

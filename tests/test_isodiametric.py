@@ -167,6 +167,27 @@ class TestCheckConditions:
             assert standardize_and_check(A, variant)[1].tdiam == want, A
             assert standardize_and_check(S, variant) == (False, check_conditions(S, variant))
 
+    @pytest.mark.parametrize("variant", list(StandardVariant))
+    def test_one_solve_on_non_standard_inputs(self, variant, solve_counter):
+        """A matrix of another shape, and one of standard shape whose identity is
+        not optimal, cost one solve each, and report as their standard form does."""
+        rng = random.Random(44)
+        cases = []
+        for d in range(3, 7):
+            for seed in range(3):
+                B = sample_isodiametric(d, seed)
+                B = B if variant is StandardVariant.MIN else negate_complement(B)
+                # swapping columns 1 and 2 keeps the first row and column
+                swapped = B.permute(col_perm=(0, 2, 1, *range(3, d)))
+                assert swapped.entries[0] == B.entries[0] and swapped.col(0) == B.col(0)
+                cases += [swapped, random_finite(rng, d, d, variant.semiring)]
+        for A in cases:
+            assert not is_standard(A, variant)
+            want = check_conditions(to_standard(A, variant).matrix, variant)
+            solve_counter.clear()
+            assert standardize_and_check(A, variant) == (True, want), A
+            assert solve_counter == [A.rows]
+
 
 class TestConverse:
     def test_family_member(self):
