@@ -8,8 +8,8 @@ addition and absorbing for tropical multiplication.
 All matrices are immutable and every operation is a pure function, so values
 can be shared freely between threads or processes.
 
-Every layer builds its integer grids with ``_scaled`` here: cells times the
-lcm of their denominators, Bottom kept as None.  ``tdiam`` runs on one too.
+Every layer's integer grid, ``tdiam``'s too, comes from ``_scaled`` here: cells
+times the lcm of their denominators, read off ``Fraction``'s slots, Bottom as None.
 """
 
 from __future__ import annotations
@@ -145,6 +145,8 @@ class TropMatrix:
 
     @property
     def is_finite(self) -> bool:
+        """No Bottom cell.  A per-cell ``is not None`` test: ``None in row``
+        calls ``Fraction.__eq__`` on every cell, over 10x slower at d=64."""
         return all(cell is not None for row in self.entries for cell in row)
 
     def row(self, i: int) -> tuple[Entry, ...]:
@@ -223,15 +225,22 @@ def tdist(v: Sequence, w: Sequence) -> Fraction:
 
 def _scaled(rows: Sequence[Sequence], sign: int = 1) -> tuple[list[list[Optional[int]]], int]:
     """(grid, scale): ``sign`` times the cells times the lcm of their
-    denominators, Bottom kept as None; the rows may differ in length."""
-    dens = {cell.denominator for row in rows for cell in row if cell is not None}
-    scale = math.lcm(*dens)
-    factor = {q: sign * (scale // q) for q in dens}
-    grid = [
-        [None if cell is None else cell.numerator * factor[cell.denominator] for cell in row]
-        for row in rows
-    ]
-    return grid, scale
+    denominators, Bottom kept as None; the rows may differ in length.  Cells
+    are read off ``Fraction``'s ``_numerator``/``_denominator`` slots (a third of
+    the time of its properties); if one lacks them (an int), the call is redone
+    through the properties, which raise on a cell that has neither."""
+    try:
+        dens = {cell._denominator for row in rows for cell in row if cell is not None}
+        scale = math.lcm(*dens)
+        factor = {q: sign * (scale // q) for q in dens}
+        return [[None if cell is None else cell._numerator * factor[cell._denominator]
+                 for cell in row] for row in rows], scale
+    except AttributeError:
+        dens = {cell.denominator for row in rows for cell in row if cell is not None}
+        scale = math.lcm(*dens)
+        factor = {q: sign * (scale // q) for q in dens}
+        return [[None if cell is None else cell.numerator * factor[cell.denominator]
+                 for cell in row] for row in rows], scale
 
 
 def _scaled_grid(A: TropMatrix) -> tuple[list[list[Optional[int]]], int, int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import eq, sub
 from typing import Optional, Sequence
 
@@ -80,28 +80,23 @@ def _find_negative_cycle(grid: list, scale: int) -> tuple[list[int], Fraction]:
 
 
 def _close(dist: list[list[Optional[int]]]) -> bool:
-    """Floyd-Warshall closure in place on a scaled-integer grid.
-
-    ``None`` marks a missing arc.  Returns False, leaving the grid partly
-    closed, as soon as a diagonal entry turns negative (a negative cycle).
-    """
-    d = len(dist)
-    for k in range(d):
-        dk = dist[k]
-        for i in range(d):
-            dik = dist[i][k]
+    """Floyd-Warshall closure in place on a scaled-integer grid; ``None`` marks a
+    missing arc.  Returns False, leaving the grid partly closed, as soon as a
+    diagonal entry turns negative (a negative cycle).  Pass k reads a list of
+    row k's finite arcs: the row holds still unless s_kk < 0, which ends it."""
+    for k, dk in enumerate(dist):
+        arcs = [(j, dkj) for j, dkj in enumerate(dk) if dkj is not None]
+        for di in dist:
+            dik = di[k]
             if dik is None:
                 continue
-            di = dist[i]
-            for j in range(d):
-                dkj = dk[j]
-                if dkj is None:
-                    continue
+            for j, dkj in arcs:
                 cand = dik + dkj
-                if di[j] is None or cand < di[j]:
+                dij = di[j]
+                if dij is None or cand < dij:
                     di[j] = cand
-        for i in range(d):
-            if dist[i][i] < 0:
+        for i, di in enumerate(dist):
+            if di[i] < 0:
                 return False
     return True
 
@@ -122,10 +117,13 @@ def _closed_grid(B: TropMatrix) -> tuple[list[list[Optional[int]]], int]:
     return dist, scale
 
 
-def _grid_matrix(grid: list[list[Optional[int]]], scale: int) -> TropMatrix:
-    return TropMatrix(Semiring.MIN, tuple(
-        tuple(None if w is None else Fraction(w, scale) for w in row) for row in grid
-    ))
+def _fractions(rows, scale: int) -> dict:
+    """w -> Fraction(w, scale) over the distinct w in the rows, None kept."""
+    return {w: None if w is None else Fraction(w, scale) for w in set(chain.from_iterable(rows))}
+
+
+def _grid_matrix(grid: list[list[Optional[int]]], frac: dict) -> TropMatrix:
+    return TropMatrix(Semiring.MIN, tuple(tuple(map(frac.__getitem__, row)) for row in grid))
 
 
 def kleene_star(B: TropMatrix) -> TropMatrix:
@@ -135,7 +133,8 @@ def kleene_star(B: TropMatrix) -> TropMatrix:
     negative cycle (a diagonal entry of the closure would become negative).
     The result S is idempotent: S (x) S = S.
     """
-    return _grid_matrix(*_closed_grid(B))
+    s, scale = _closed_grid(B)
+    return _grid_matrix(s, _fractions(s, scale))
 
 
 def _padded(s: list) -> tuple[list[list[int]], list[list[int]]]:
@@ -319,13 +318,14 @@ def facet_profile(P: Polytrope) -> dict[Facet, int]:
 def build_polytrope(B: TropMatrix) -> Polytrope:
     """Star, H-representation, facets, vertices and incidences from one closed grid."""
     s, scale = _closed_grid(B)
-    star = _grid_matrix(s, scale)
-    hrep = tuple((i, j, b) for i, row in enumerate(star.entries)
-                 for j, b in enumerate(row) if i != j and b is not None)
     irr = tuple(_facets(s))
     _require_dim(len(s))
     walk = _walk(s)
-    verts = tuple(tuple(Fraction(v, scale) for v in x[1:]) for x, _ in walk)
+    frac = _fractions(chain(s, (x for x, _ in walk)), scale)
+    star = _grid_matrix(s, frac)
+    hrep = tuple((i, j, b) for i, row in enumerate(star.entries)
+                 for j, b in enumerate(row) if i != j and b is not None)
+    verts = tuple(tuple(map(frac.__getitem__, x[1:])) for x, _ in walk)
     tight = tuple(rows for _, rows in walk)
     profile = {(i, j): sum(rows[i] >> j & 1 for rows in tight) for i, j in irr}
     return Polytrope(B, star, hrep, irr, verts, profile, tight)

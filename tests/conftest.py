@@ -20,7 +20,10 @@ row, so it is the reference for the library's walk at d >= 8, where
 ``brute_optima`` is too slow.  ``reference_hungarian_min`` is the assignment
 kernel the library used before it settled duals lazily: it updates every
 dual and every ``minv`` at each step, and must agree with the library's
-kernel on the whole 4-tuple, duals included.
+kernel on the whole 4-tuple, duals included.  ``reference_close`` is the
+Floyd-Warshall loop the library used before each pass read a snapshot of its
+pivot row: it indexes the live grid at every step, and must agree with
+``polytrope._close`` on the return value, and on every cell when that is True.
 """
 
 import math
@@ -97,6 +100,30 @@ def reference_hungarian_min(grid):
             images[match[j]] = j
     total = sum(grid[r][images[r]] for r in range(n))
     return total, tuple(images), u, v[:n]
+
+
+def reference_close(dist) -> bool:
+    """Floyd-Warshall closure in place on an integer grid (None: no arc);
+    False as soon as a pass leaves a negative diagonal entry."""
+    d = len(dist)
+    for k in range(d):
+        dk = dist[k]
+        for i in range(d):
+            dik = dist[i][k]
+            if dik is None:
+                continue
+            di = dist[i]
+            for j in range(d):
+                dkj = dk[j]
+                if dkj is None:
+                    continue
+                cand = dik + dkj
+                if di[j] is None or cand < di[j]:
+                    di[j] = cand
+        for i in range(d):
+            if dist[i][i] < 0:
+                return False
+    return True
 
 
 @pytest.fixture

@@ -184,6 +184,41 @@ class TestScaledGrid:
                 assert core._scaled(rows, sign) == (want, scale), rows
             assert core._scaled(rows) == (grid, scale)
 
+    def test_fraction_keeps_its_slots(self):
+        """``_scaled`` reads ``Fraction``'s private slots; if an interpreter
+        drops them, this fails here instead of every grid taking the slow path."""
+        q = Fraction(-6, 4)
+        assert (q._numerator, q._denominator) == (-3, 2)
+
+        class PropertiesRaise(Fraction):  # the fast path never reads them
+            numerator = denominator = property(
+                lambda self: pytest.fail("read a property of a Fraction cell"))
+
+        rows = [[PropertiesRaise(1, 2), None, PropertiesRaise(-2, 3)], [PropertiesRaise(5)]]
+        assert core._scaled(rows, -1) == ([[-3, None, 4], [-30]], 6)
+
+    def test_cells_without_slots_fall_back(self):
+        rng = random.Random(27)
+        cases = [((None, None), (None,)), ((None,) * 3,) * 2, ((3, -4), (0, None)),
+                 ((True, False),)]
+        for _ in range(200):  # ints, and rows mixing ints with Fractions and Bottom
+            cases.append(tuple(
+                tuple(None if rng.random() < 0.2 else rng.choice(
+                    (rng.randint(-50, 50), Fraction(rng.randint(-50, 50), rng.randint(1, 9))))
+                      for _ in range(rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 4))))
+        for rows in cases:
+            grid, scale = scaled_grid(SimpleNamespace(entries=rows))
+            for sign in (1, -1):
+                want = [[None if c is None else sign * c for c in row] for row in grid]
+                assert core._scaled(rows, sign) == (want, scale), rows
+
+    @pytest.mark.parametrize("cell", [0.5, "1/2", object()])
+    def test_cell_without_denominator_raises(self, cell):
+        name = type(cell).__name__
+        with pytest.raises(AttributeError, match=f"'{name}' object has no attribute 'denominator'"):
+            core._scaled([[Fraction(1, 2), None], [cell]])
+
     def test_encoding_lives_in_core(self):
         """``math.lcm`` is called only by the grid routine and by the
         transportation LP (the independent qvol+ route), and the layers that

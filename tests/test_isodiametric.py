@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -448,3 +449,35 @@ class TestIsodiametricInequality:
                 M = TropMatrix(A.semiring, tuple(map(tuple, e)))
                 assert tvol(M) <= tdiam(M)
                 assert (tvol(M) == tdiam(M)) is _conditions_hold(M), M
+
+
+def _min_standard_shaped(d, values):
+    """Every min-plus d x d matrix with first row 0, 1, ..., 1, first column
+    0, 1, ..., 1 and its (d-1) x (d-1) off-border block drawn from ``values``."""
+    zero, one, n = Fraction(0), Fraction(1), d - 1
+    head = (zero,) + (one,) * n
+    for block in itertools.product(values, repeat=n * n):
+        yield TropMatrix(Semiring.MIN, (head,) + tuple(
+            (one,) + block[i * n:(i + 1) * n] for i in range(n)))
+
+
+class TestEqualityCaseExhaustive:
+    """tvol <= tdiam on every min-standard-shaped matrix of two grids, and on
+    the standard ones tvol = tdiam = 2 exactly when (i)-(iv) hold."""
+
+    @pytest.mark.parametrize("d, values, count, standard, iso", [
+        (3, [Fraction(k, 2) for k in range(5)], 625, 355, 5),
+        (4, [Fraction(k) for k in range(3)], 19_683, 5_345, 19),
+    ])
+    def test_grid(self, d, values, count, standard, iso):
+        seen = [0, 0, 0]
+        for M in _min_standard_shaped(d, values):
+            vol, diam = tvol(M), tdiam(M)
+            assert vol <= diam, M
+            seen[0] += 1
+            if is_standard(M, StandardVariant.MIN):
+                holds = check_conditions(M, StandardVariant.MIN).all_conditions_hold
+                assert (vol == diam == 2) is holds, M
+                seen[1] += 1
+                seen[2] += holds
+        assert seen == [count, standard, iso]

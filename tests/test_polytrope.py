@@ -14,6 +14,8 @@ from conftest import (
     brute_vertices,
     family3,
     random_finite,
+    reference_close,
+    scaled_grid,
 )
 from tropiso import (
     DomainError,
@@ -489,6 +491,108 @@ class TestIntegerGrid:
     def test_large_builds(self, B, count, simple):
         P = build_polytrope(B)
         assert len(P.vertices) == count and genericity_check(P) is simple
+
+
+def _random_grid(rng, d):
+    """A d x d integer grid with 0-60% missing arcs, entries of both signs (so
+    negative cycles, some of one node) and a diagonal that is mostly 0."""
+    p, lo = rng.uniform(0, 0.6), -rng.choice((0, 1, 2, 5, 20))
+    grid = [[None if i != j and rng.random() < p else rng.randint(lo, 20) for j in range(d)]
+            for i in range(d)]
+    for i in range(d):
+        if rng.random() < 0.8:
+            grid[i][i] = 0
+    return grid
+
+
+def _positive_minplus(rng, d, hi):
+    """Zero diagonal, positive arcs p/q with q in 1..6: a bounded polytrope."""
+    def cell(i, j):
+        den = rng.randint(1, 6)
+        return Fraction(0) if i == j else Fraction(rng.randint(den, hi * den), den)
+    return TropMatrix(MIN, tuple(tuple(cell(i, j) for j in range(d)) for i in range(d)))
+
+
+def _repeated_values(rng, d, p_bottom):
+    """Zero diagonal, arcs drawn from five values over 2 and 3, some Bottom."""
+    values = [Fraction(k, 6) for k in (3, 4, 6, 9, 10)]
+    return TropMatrix(MIN, tuple(
+        tuple(Fraction(0) if i == j else None if rng.random() < p_bottom else rng.choice(values)
+              for j in range(d)) for i in range(d)))
+
+
+def _reference_star(B):
+    """The closed grid of B by ``reference_close``, and its scale."""
+    grid, scale = scaled_grid(B)
+    for i, row in enumerate(grid):
+        row[i] = 0
+    assert reference_close(grid)
+    return grid, scale
+
+
+def _fractions_of(grid, scale):
+    return [[None if w is None else Fraction(w, scale) for w in row] for row in grid]
+
+
+def _assert_same_cells(got, want):
+    for row, wrow in zip(got, want, strict=True):
+        for c, w in zip(row, wrow, strict=True):
+            assert c == w and type(c) is type(w), (c, w)
+
+
+class TestClosure:
+    """The closure reads a snapshot of the pivot row, and stars and builds
+    make one Fraction per distinct value; both against the loops they replace."""
+
+    def test_matches_reference_on_random_grids(self):
+        rng = random.Random(1611)
+        verdicts = []
+        for n in range(1500):
+            grid = _random_grid(rng, 1 + n % 12)
+            want = [row[:] for row in grid]
+            ok = polytrope._close(grid)
+            verdicts.append(ok)
+            assert ok is reference_close(want)
+            if ok:
+                assert grid == want
+        assert 300 < verdicts.count(False) < 1200
+
+    def test_matches_reference_on_bench_shaped_stars(self):
+        rng = random.Random(40)
+        for _ in range(60):
+            grid = polytrope._scaled_grid(_positive_minplus(rng, 40, hi=400))[0]
+            want = [row[:] for row in grid]
+            assert polytrope._close(grid) and reference_close(want)
+            assert grid == want
+
+    def test_star_cells_are_grid_fractions(self):
+        rng = random.Random(935)
+        scales, bottoms = set(), 0
+        for n in range(120):
+            B = _repeated_values(rng, 2 + n % 11, p_bottom=(0, 0.3, 0.7)[n % 3])
+            grid, scale = _reference_star(B)
+            scales.add(scale)
+            bottoms += sum(row.count(None) for row in grid)
+            _assert_same_cells(kleene_star(B).entries, _fractions_of(grid, scale))
+        assert {2, 3, 6} <= scales and bottoms > 100
+
+    def test_build_cells_are_grid_fractions(self):
+        rng = random.Random(936)
+        built = 0
+        for n in range(60):
+            B = _repeated_values(rng, 2 + n % 5, p_bottom=(0, 0.3)[n % 2])
+            grid, scale = _reference_star(B)
+            if any(None in row for row in grid):
+                continue
+            built += 1
+            P = build_polytrope(B)
+            _assert_same_cells(P.star.entries, _fractions_of(grid, scale))
+            _assert_same_cells([[b for _, _, b in P.hrep]],
+                               [[w for i, row in enumerate(_fractions_of(grid, scale))
+                                 for j, w in enumerate(row) if i != j]])
+            walk = [x[1:] for x, _ in polytrope._walk(grid)]
+            _assert_same_cells(P.vertices, _fractions_of(walk, scale))
+        assert built > 40
 
 
 def _count_closes(monkeypatch):
